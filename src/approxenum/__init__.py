@@ -8,7 +8,6 @@ from .db import (
     gaifman_ball,
     induced_subdb,
     load_database,
-    oracle_query,
     parse_database,
     serialize_database,
 )
@@ -16,10 +15,7 @@ from .neighborhoods import (
     CanonicalType,
     Neighbourhood,
     TypeRegistry,
-    canonicalize,
-    embedding_into_representative,
     extract_neighbourhood,
-    representative_element,
 )
 from .query import (
     Clause,
@@ -42,14 +38,7 @@ from .exact import (
     eval_sphere,
     local_member,
 )
-from .splits import (
-    Binding,
-    RSplit,
-    SplitGroup,
-    candidate_found_tuples,
-    found_from,
-    unique_split_of,
-)
+from .splits import candidate_found_tuples
 from .testers import (
     ClauseTester,
     ExactClauseTester,

@@ -26,14 +26,13 @@ from .engine import (
     enumerate_local,
     enumerate_local_strengthened,
 )
-from .errors import ApproxEnumError, NotLocal, ParseError
+from .errors import ApproxEnumError, ElementOutOfRange, NotLocal, ParameterError, ParseError
 from .exact import answer_set, local_member
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, is_local, parse_query
 from .services import approx_count, membership_answer, membership_preprocess
-from .splits import unique_split_of
 from .testers import compute_type_set, example_tester, make_tester_factory
-from .typecache import TypeCache
+from .typecache import TypeCache, group_positions
 
 
 def _read(path: str) -> str:
@@ -65,6 +64,24 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.replace(",", " ").split())
     except ValueError:
         raise ParseError(f"bad tuple {text!r}") from None
+
+
+# argument: (option, admissible test, admissible range as printed)
+_PARAMETER_RANGES = {
+    "gamma": ("--gamma", lambda v: 0 < v < 1, "in (0, 1)"),
+    "epsilon": ("--epsilon", lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lam": ("--lambda", lambda v: 0 < v <= 1, "in (0, 1]"),
+    "expansion_cap": ("--expansion-cap", lambda v: v >= 1, "at least 1"),
+    "r": ("--r", lambda v: v >= 0, "at least 0"),
+}
+
+
+def _check_parameters(args) -> None:
+    """Reject numeric options outside the ranges the guarantees are stated for."""
+    for name, (option, admissible, stated) in _PARAMETER_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not admissible(value):
+            raise ParameterError(f"{option} must be {stated}, got {value}")
 
 
 def _emit_stream(out):
@@ -205,12 +222,12 @@ def cmd_split(args) -> int:
     registry = TypeRegistry()
     schema, db, _ = _load_inputs(args, registry)
     btuple = _parse_tuple(args.tuple)
+    for e in btuple:
+        if not 1 <= e <= db.n:
+            raise ElementOutOfRange(f"element {e} outside [1, {db.n}]")
     cache = TypeCache(db, registry)
-    split = unique_split_of(cache, btuple, args.r)
-    for i, grp in enumerate(split.groups, start=1):
-        t = registry.by_id(grp.anchor_type_id)
-        print(f"group {i}: coords={list(grp.coords)} anchor_type={grp.anchor_type_id} "
-              f"anchor_size={t.cardinality} binding={list(grp.binding.positions)}")
+    for i, grp in enumerate(group_positions(cache, btuple, args.r), start=1):
+        print(f"group {i}: coords={[pos + 1 for pos in grp]} leader={btuple[grp[0]]}")
     return 0
 
 
@@ -218,13 +235,7 @@ def _bench_family(name: str, n: int, registry: TypeRegistry):
     if name == "iso-pairs":
         db = figures.isolated_db(n)
         q_local = figures.isolated_pair_query(registry, radius=2)
-        types = figures.shape_types(registry)
-        from .query import Clause, HanfSentence, QueryNF
-
-        sphere = q_local.clauses[0].sphere
-        q_general = QueryNF(k=2, radius=2, degree_bound=3, clauses=(
-            Clause(sphere, (HanfSentence(True, 1, types["marker"], 2),)),))
-        return db, q_local, q_general
+        return db, q_local, figures.general_iso_query(registry)
     if name == "tree-copies":
         if n % figures.SHAPE_SIZE:
             raise ParseError(f"tree-copies sizes must be multiples of {figures.SHAPE_SIZE}")
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tester", default="exact", choices=["exact", "sampling", "example22"])
     p.set_defaults(func=cmd_test, needs_seed=lambda a: True)
 
-    p = sub.add_parser("split", help="print the unique split of a tuple")
+    p = sub.add_parser("split", help="print the coordinate groups of a tuple and their leaders")
     add_io(p, query_required=False)
     p.add_argument("--tuple", required=True)
     p.add_argument("--r", type=int, required=True)
@@ -371,6 +382,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_parameters(args)
         if getattr(args, "needs_seed", lambda a: False)(args) and args.seed is None:
             print("error: this command requires --seed (or --seed auto)", file=sys.stderr)
             return 2

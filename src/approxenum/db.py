@@ -204,10 +204,6 @@ class Database:
         return self.degrees[a]
 
 
-def oracle_query(db: Database, rel_name: str, i: int, j: int) -> Optional[Tuple_]:
-    return db.oracle(rel_name, i, j)
-
-
 def gaifman_ball(db: Database, elements: Sequence[int], radius: int) -> set[int]:
     """All elements at distance <= radius from the given tuple, by BFS.
 

@@ -61,11 +61,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .db import Database
-from .errors import MissingTester, NotLocal
+from .errors import MissingTester, NotLocal, ParameterError
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, compute_conn, is_local
 from .randutil import child_rng, child_seed
-from .splits import candidate_found_tuples
+from .splits import _position_filters, candidate_found_tuples
 from .testers import ClauseTester, TesterFactory, compute_type_set, make_tester_factory
 from .typecache import TypeCache
 
@@ -76,7 +76,7 @@ _DENSE_DEDUP_LIMIT = 1 << 27
 def lemma_constants(mu: float, delta: float) -> tuple[float, int, int]:
     """(q, alpha, batch) for the core loop's sampling schedule."""
     if not (0.0 < mu < 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("mu and delta must lie in (0, 1)")
+        raise ParameterError(f"mu and delta must lie in (0, 1), got mu={mu}, delta={delta}")
     p = mu * (1.0 - mu)
     q = min((1.0 - p) ** 2, (1.0 - delta) ** 2 / 9.0)
     alpha = max(1, math.ceil(math.log(q) / math.log(1.0 - p)))
@@ -249,14 +249,8 @@ class TypeMembership:
         self.type_ids = type_ids
         self.k = k
         self.radius = radius
-        reg = cache.registry
-        allowed = [set() for _ in range(k)]
-        for tid in type_ids:
-            t = reg.by_id(tid)
-            if len(t.centre_positions) == k:
-                for pos in range(k):
-                    allowed[pos].add(reg.centre_restriction(t, pos))
-        self._allowed = [np.array(sorted(s), dtype=np.int64) for s in allowed]
+        self._allowed = [np.array(sorted(s), dtype=np.int64)
+                         for s in _position_filters(cache.registry, type_ids, k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
         self._pair_compose: dict[tuple[int, int], bool] = {}
         self.expansion_cap = 1
@@ -726,10 +720,3 @@ def enumerate_hanf_testable(db: Database, q: QueryNF, gamma: float, epsilon: flo
         expansion_cap=expansion_cap, plugins=plugins, **loop_kwargs)
     summary.mode = "hanf-testable"
     return summary
-
-
-def abstract_expansion_bound(d: int, radius: int, k: int) -> int:
-    """A-priori cap on expansions per leader tuple: fill k-1 free coordinates
-    from anywhere in a leader's wide-radius ball."""
-    ball = d ** (3 * max(radius, 1) * k + 1)
-    return max(1, k ** k * ball ** (k - 1))

@@ -30,11 +30,11 @@ class DegreeExceeded(ApproxEnumError):
 
 
 class IndexOutOfRange(ApproxEnumError):
-    """An oracle or representative index is outside its contract bounds."""
+    """An oracle index or radius is outside its contract bounds."""
 
 
-class TypeMismatch(ApproxEnumError):
-    """A neighbourhood was paired with a canonical type it does not have."""
+class ParameterError(ApproxEnumError):
+    """A numeric parameter lies outside the range its guarantee needs."""
 
 
 class RadiusMismatch(ParseError):

@@ -158,6 +158,14 @@ def isolated_pair_query(registry: TypeRegistry, d: int = 3, radius: int = 1) -> 
                    clauses=(Clause(SphereAtom(t, radius), ()),))
 
 
+def general_iso_query(registry: TypeRegistry, d: int = 3) -> QueryNF:
+    """Radius-2 isolated pairs, provided no marker vertex exists; not local."""
+    sphere = isolated_pair_query(registry, d, radius=2).clauses[0].sphere
+    marker = shape_types(registry, d)["marker"]
+    return QueryNF(k=2, radius=2, degree_bound=d, clauses=(
+        Clause(sphere, (HanfSentence(True, 1, marker, 2),)),))
+
+
 def isolated_vertex_query(registry: TypeRegistry, d: int = 3, radius: int = 1) -> QueryNF:
     db = isolated_db(1, d)
     t = registry.type_of(db, (1,), radius)

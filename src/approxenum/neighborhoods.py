@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .db import Database, Fragment, gaifman_ball, induced_subdb
-from .errors import IndexOutOfRange, TypeMismatch
 
 Row = tuple  # one position's sorted tuple of encoded relation tuples
 
@@ -290,9 +289,6 @@ class TypeRegistry:
     def by_id(self, type_id: int) -> CanonicalType:
         return self._types[type_id]
 
-    def all_types(self) -> tuple[CanonicalType, ...]:
-        return tuple(self._types)
-
     # -- canonicalization --------------------------------------------------
 
     def _raw_signature(self, nb: Neighbourhood) -> tuple:
@@ -411,114 +407,3 @@ def _max_degree(frag: Fragment) -> int:
             for e in set(t):
                 counts[e] = counts.get(e, 0) + 1
     return max(counts.values(), default=0)
-
-
-def canonicalize(nb: Neighbourhood, registry: TypeRegistry) -> CanonicalType:
-    return registry.canonicalize(nb)
-
-
-def representative_element(t: CanonicalType, position: int) -> int:
-    """Element of the representative at a 1-based position of its ordering.
-
-    Representative elements are identified with their positions; the distinct
-    centres occupy the leading positions in centre order.
-    """
-    if not (1 <= position <= t.cardinality):
-        raise IndexOutOfRange(f"position {position} outside [1, {t.cardinality}]")
-    return position
-
-
-def embedding_into_representative(nb: Neighbourhood, t: CanonicalType) -> dict[int, int]:
-    """Least centre-respecting isomorphism from a neighbourhood onto t's representative.
-
-    The map is least in the sequence of images taken over the neighbourhood's
-    elements in ascending source id (local id order when no source ids are
-    attached), which makes it deterministic for a fixed database ordering.
-    Raises TypeMismatch when the neighbourhood does not have type ``t``.
-    """
-    frag = nb.fragment
-    rep = t.representative.fragment
-    if frag.size != rep.size or nb.radius != t.radius:
-        raise TypeMismatch("neighbourhood does not match type shape")
-    for fr_tups, rep_tups in zip(frag.tuples, rep.tuples):
-        if len(fr_tups) != len(rep_tups):
-            raise TypeMismatch("tuple counts differ")
-    # with equal tuple counts, a complete injective forward-consistent map
-    # is automatically an isomorphism
-    schema = frag.schema
-    symmetric = [r.symmetric for r in schema.relations]
-
-    rep_tuple_sets = [set(tups) for tups in rep.tuples]
-    frag_incident = frag.incident()
-
-    # refined colours, seeded identically on both sides, cut the image domains:
-    # any centre-respecting isomorphism preserves them
-    def pinned_of(centres):
-        seen = []
-        for c in centres:
-            if c not in seen:
-                seen.append(c)
-        return seen
-
-    frag_rank = _refined_keys(frag, pinned_of(nb.centres))
-    rep_rank = _refined_keys(rep, pinned_of(t.representative.centres))
-    from collections import Counter
-    if Counter(frag_rank[1:]) != Counter(rep_rank[1:]):
-        raise TypeMismatch("refinement colour classes differ")
-    rep_class: dict[int, list[int]] = {}
-    for v in range(1, rep.size + 1):
-        rep_class.setdefault(rep_rank[v], []).append(v)
-
-    # domain order: ascending source id when available
-    if frag.orig is not None:
-        domain = sorted(range(1, frag.size + 1), key=lambda e: frag.orig[e - 1])
-    else:
-        domain = list(range(1, frag.size + 1))
-
-    image = [0] * (frag.size + 1)
-    used = [False] * (rep.size + 1)
-
-    # centres are forced positionally
-    for c_local, c_pos in zip(nb.centres, t.centre_positions):
-        if image[c_local] not in (0, c_pos):
-            raise TypeMismatch("centre repetition pattern differs")
-        if image[c_local] == 0:
-            if used[c_pos]:
-                raise TypeMismatch("centre repetition pattern differs")
-            image[c_local] = c_pos
-            used[c_pos] = True
-
-    def consistent(e: int) -> bool:
-        for rel_idx, tup in frag_incident[e]:
-            if all(image[c] for c in tup):
-                mapped = tuple(image[c] for c in tup)
-                if symmetric[rel_idx]:
-                    mapped = (min(mapped), max(mapped))
-                if mapped not in rep_tuple_sets[rel_idx]:
-                    return False
-        return True
-
-    for c in set(nb.centres):
-        if not consistent(c):
-            raise TypeMismatch("centres do not embed")
-
-    free = [e for e in domain if image[e] == 0]
-
-    def dfs(i: int) -> bool:
-        if i == len(free):
-            return True
-        e = free[i]
-        for v in rep_class.get(frag_rank[e], ()):
-            if used[v]:
-                continue
-            image[e] = v
-            used[v] = True
-            if consistent(e) and dfs(i + 1):
-                return True
-            image[e] = 0
-            used[v] = False
-        return False
-
-    if not dfs(0):
-        raise TypeMismatch("no centre-respecting isomorphism onto representative")
-    return {e: image[e] for e in range(1, frag.size + 1)}

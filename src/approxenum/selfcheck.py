@@ -31,7 +31,7 @@ from .engine import (
 )
 from .exact import answer_set, closeness_check
 from .neighborhoods import TypeRegistry
-from .query import Clause, HanfSentence, QueryNF, SphereAtom
+from .query import Clause, QueryNF, SphereAtom
 from .services import approx_count, estimate_frequencies
 from .splits import candidate_found_tuples
 from .testers import (
@@ -222,14 +222,6 @@ def criterion_no_duplicates(ctx: Context) -> CriterionResult:
 # -- C5: constant delay ----------------------------------------------------------
 
 
-def _general_iso_query(registry: TypeRegistry) -> QueryNF:
-    base = figures.isolated_pair_query(registry, radius=2)
-    types = figures.shape_types(registry)
-    sphere = base.clauses[0].sphere
-    return QueryNF(k=2, radius=2, degree_bound=3, clauses=(
-        Clause(sphere, (HanfSentence(True, 1, types["marker"], 2),)),))
-
-
 def criterion_constant_delay(ctx: Context) -> CriterionResult:
     t0 = time.perf_counter()
     registry = TypeRegistry()
@@ -248,7 +240,7 @@ def criterion_constant_delay(ctx: Context) -> CriterionResult:
                                           registry=registry, instrument=True,
                                           max_outputs=cap)
             else:
-                q = _general_iso_query(registry)
+                q = figures.general_iso_query(registry)
                 summary = enumerate_general(db, q, gamma=0.3, epsilon=0.3, seed=41,
                                             emit=sink.append, registry=registry,
                                             tester="sampling", instrument=True,

@@ -1,115 +1,29 @@
-"""Coordinate splits: decomposing tuples into separated, anchored groups.
+"""Grounded split expansion: finding target tuples from their group leaders.
 
 Every k-tuple decomposes uniquely into groups of coordinates whose radius-r
-balls chain together; distinct groups are fully separated (pairwise distance
-greater than 2r+1, so no tuple spans them).  Each group is anchored at its
-leader, the coordinate appearing first in the tuple: the anchor records the
-leader's wide-radius 1-centre type plus a binding that names, by position in
-that type's representative, where the remaining group members sit.  The
-binding uses the least embedding onto the representative, so a group can be
-reassembled from its leader alone: ``found_from`` inverts ``unique_split_of``.
+balls chain together (``typecache.group_positions``); distinct groups are
+fully separated (pairwise distance greater than 2r+1, so no tuple spans
+them).  Each group is led by its leader, the coordinate appearing first in
+the tuple, and every other member sits within ``member_reach`` of it.
 
-``candidate_found_tuples`` grounds the abstract split table in the database:
-given a leader tuple and a target set of tuple types, it enumerates exactly
-the k-tuples with those types whose split is led by the given leaders.  Each
-k-tuple arises from exactly one leader tuple, which the enumeration engine
-relies on for duplicate freedom.
-
-The anchor radius is 3rk (clamped below by 3k so radius-0 groups still fit):
-group members sit within (2r+1)(k-1) of their leader, so their radius-r view
-is contained in the leader's anchor ball.
+``candidate_found_tuples`` expands a leader tuple against a target set of
+tuple types: it enumerates exactly the k-tuples with those types whose
+grouping is led by the given leaders, filling the non-leader coordinates
+from the leaders' reach balls.  Each k-tuple arises from exactly one leader
+tuple, which the enumeration engine relies on for duplicate freedom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .db import gaifman_ball
 from .typecache import TypeCache, group_positions
 
 
-def anchor_radius(radius: int, k: int) -> int:
-    return 3 * max(radius, 1) * k
-
-
 def member_reach(radius: int, k: int) -> int:
     """Max distance of a group member from its leader."""
     return (2 * radius + 1) * (k - 1)
-
-
-@dataclass(frozen=True)
-class Binding:
-    """Representative positions of a group's non-leader members, in coordinate order."""
-
-    positions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SplitGroup:
-    coords: tuple[int, ...]  # 1-based tuple coordinates, ascending
-    anchor_type_id: int      # 1-centre type of the leader at the anchor radius
-    binding: Binding
-
-
-@dataclass(frozen=True)
-class RSplit:
-    groups: tuple[SplitGroup, ...]  # ordered by smallest coordinate
-    radius: int
-    k: int
-
-    def group_count(self) -> int:
-        return len(self.groups)
-
-
-def unique_split_of(cache: TypeCache, btuple: Sequence[int], radius: int) -> RSplit:
-    """The one split a tuple satisfies: ball-chained groups, anchored leaders."""
-    btuple = tuple(btuple)
-    k = len(btuple)
-    wide = anchor_radius(radius, k)
-    groups = []
-    for grp in group_positions(cache, btuple, radius):
-        leader = btuple[grp[0]]
-        anchor_id, inverse = cache.anchored_embedding(leader, wide)
-        position_of = {orig: pos for pos, orig in inverse.items()}
-        positions = tuple(position_of[btuple[pos]] for pos in grp[1:])
-        groups.append(SplitGroup(tuple(c + 1 for c in grp), anchor_id, Binding(positions)))
-    return RSplit(tuple(groups), radius, k)
-
-
-def found_from(cache: TypeCache, abar: Sequence[int], split: RSplit) -> Optional[tuple[int, ...]]:
-    """The unique tuple with the given split led by ``abar``, or None.
-
-    Mirrors the three-step assembly: anchor types of the leaders must match,
-    group members are read off the bindings through the least embedding, and
-    the assembled groups must be pairwise fully separated.  Constant work for
-    a fixed degree bound, radius and k.
-    """
-    abar = tuple(abar)
-    if len(abar) != split.group_count():
-        return None
-    wide = anchor_radius(split.radius, split.k)
-    out: list[Optional[int]] = [None] * split.k
-    for leader, grp in zip(abar, split.groups):
-        anchor_id, inverse = cache.anchored_embedding(leader, wide)
-        if anchor_id != grp.anchor_type_id:
-            return None
-        out[grp.coords[0] - 1] = leader
-        for coord, pos in zip(grp.coords[1:], grp.binding.positions):
-            out[coord - 1] = inverse[pos]
-    btuple = tuple(out)  # type: ignore[arg-type]
-    # separation check: the assembled groups must not interact
-    for i in range(split.group_count()):
-        for j in range(i + 1, split.group_count()):
-            for ci in split.groups[i].coords:
-                for cj in split.groups[j].coords:
-                    if cache.within_chain_distance(btuple[ci - 1], btuple[cj - 1], split.radius):
-                        return None
-    # group members must chain within their own group
-    if [list(c - 1 for c in g.coords) for g in split.groups] != \
-            sorted(group_positions(cache, btuple, split.radius), key=lambda g: g[0]):
-        return None
-    return btuple
 
 
 def _ordered_partitions(k: int, blocks: int) -> Iterator[list[list[int]]]:
@@ -204,9 +118,3 @@ def _leaders_pass(cache: TypeCache, slots, allowed, radius: int, partition) -> b
         if cache.element_type(slots[pos], radius) not in allowed[pos]:
             return False
     return True
-
-
-def leaders_of(cache: TypeCache, btuple: Sequence[int], radius: int) -> tuple[int, ...]:
-    """Group leaders of a tuple, ordered as its split orders the groups."""
-    btuple = tuple(btuple)
-    return tuple(btuple[grp[0]] for grp in group_positions(cache, btuple, radius))

@@ -168,14 +168,6 @@ class SamplingClauseTester(ClauseTester):
                              {"tester": "sampling", "mode": "sampled", "estimates": estimates})
 
 
-def sampling_clause_tester(db: Database, clause: Clause, k: int, epsilon: float,
-                           seed: int, registry: TypeRegistry,
-                           confidence: float = 2.0 / 3.0) -> TesterVerdict:
-    """One-shot sampling verdict for a clause, amplified to ``confidence``."""
-    tester = amplify(SamplingClauseTester(clause, k), confidence)
-    return tester.run(TypeCache(db, registry), epsilon, seed)
-
-
 @dataclass
 class MarkerExclusionTester(ClauseTester):
     """Constant-time tester for clauses of the demo shape.

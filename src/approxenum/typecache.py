@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .db import Database, gaifman_ball
-from .neighborhoods import TypeRegistry, embedding_into_representative, extract_neighbourhood
+from .neighborhoods import TypeRegistry, extract_neighbourhood
 
 
 def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> list[list[int]]:
@@ -63,7 +63,6 @@ class TypeCache:
         self._balls: dict[tuple[int, int], frozenset[int]] = {}
         self._etype: dict[int, np.ndarray] = {}  # radius -> array of type ids (-1 unknown)
         self._tuple_memo: dict[tuple, int] = {}
-        self._anchor_memo: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
 
     # -- balls and distances -------------------------------------------------
 
@@ -143,26 +142,3 @@ class TypeCache:
         """Bypass the composition path; reference for property tests."""
         nb = extract_neighbourhood(self.db, tuple(btuple), radius)
         return self.registry.canonicalize(nb).type_id
-
-    # -- anchored embeddings -----------------------------------------------
-
-    def anchored_embedding(self, element: int, radius: int) -> tuple[int, dict[int, int]]:
-        """1-centre type of an element plus its least embedding, as (type id, map).
-
-        The map sends representative positions back to source elements; it is
-        the inverse of the least isomorphism from the element's ball onto the
-        type representative, so bindings expressed in representative positions
-        can be resolved against the database.
-        """
-        key = (element, radius)
-        hit = self._anchor_memo.get(key)
-        if hit is None:
-            nb = extract_neighbourhood(self.db, (element,), radius)
-            anchor = self.registry.canonicalize(nb)
-            emb = embedding_into_representative(nb, anchor)
-            inverse = {pos: nb.fragment.orig[local - 1] for local, pos in emb.items()}
-            arr = self._etype_array(radius)
-            arr[element] = anchor.type_id
-            hit = (anchor.type_id, inverse)
-            self._anchor_memo[key] = hit
-        return hit

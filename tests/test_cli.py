@@ -106,6 +106,21 @@ def test_parse_error_exit_code(workdir, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv, query", [
+    (["enumerate", "--mode", "local", "--gamma", "0"], "local.query"),
+    (["enumerate", "--mode", "local", "--gamma", "1.5"], "local.query"),
+    (["test", "--tester", "example22", "--epsilon", "0"], "demo.query"),
+    (["count", "--lambda", "0"], "demo.query"),
+    (["enumerate", "--mode", "local-strengthened", "--expansion-cap", "0"], "local.query"),
+    (["member", "--epsilon", "-1", "--tuple", "17,20"], "demo.query"),
+], ids=["gamma-0", "gamma-1.5", "epsilon-0", "lambda-0", "expansion-cap-0", "epsilon-negative"])
+def test_parameter_out_of_range(workdir, argv, query):
+    code, out, err = run_cli(argv + ["--seed", "1"] + io_args(workdir, query))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --")
+
+
 def test_member_exact_and_approx(workdir):
     base = ["member"] + io_args(workdir, "demo.query") + ["--tuple", "17,20"]
     code, out, _ = run_cli(base + ["--exact"])
@@ -151,6 +166,15 @@ def test_split_command(workdir):
                               "--db", str(workdir / "db.txt"), "--d", "3"])
     assert code == 0
     assert out.startswith("group 1: coords=[1, 2]")
+
+
+@pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1")])
+def test_split_rejects_bad_inputs(workdir, tup, r):
+    # a single-element tuple never reaches a ball, so the command checks itself
+    code, out, err = run_cli(["split", "--tuple", tup, "--r", r,
+                              "--schema", str(workdir / "schema.txt"),
+                              "--db", str(workdir / "db.txt"), "--d", "3"])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bench_delay_single_row(workdir):

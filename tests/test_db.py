@@ -11,7 +11,6 @@ from approxenum.db import (
     gaifman_ball,
     induced_subdb,
     load_database,
-    oracle_query,
     parse_database,
     serialize_database,
 )
@@ -76,24 +75,24 @@ def test_db_round_trip():
 def test_oracle_first_edge_at_root(pair_a_db):
     # independent oracle: sort the edges containing vertex 1, take rank 1
     edges = sorted(t for t in pair_a_db.tuples[0] if 1 in t)
-    assert oracle_query(pair_a_db, "E", 1, 1) == edges[0]
-    assert oracle_query(pair_a_db, "E", 1, len(edges)) == edges[-1]
+    assert pair_a_db.oracle("E", 1, 1) == edges[0]
+    assert pair_a_db.oracle("E", 1, len(edges)) == edges[-1]
     # pendant vertex: one incident edge, rank 2 is absent
-    assert oracle_query(pair_a_db, "E", 4, 2) is None
+    assert pair_a_db.oracle("E", 4, 2) is None
 
 
 def test_oracle_isolated_element():
     _, db = load_database(SCHEMA_TEXT, "domain 5\nE 1 2\n", 3)
-    assert oracle_query(db, "E", 4, 1) is None
+    assert db.oracle("E", 4, 1) is None
 
 
 def test_oracle_contract_bounds(pair_a_db):
     with pytest.raises(IndexOutOfRange):
-        oracle_query(pair_a_db, "E", 1, 4)  # d + 1
+        pair_a_db.oracle("E", 1, 4)  # d + 1
     with pytest.raises(IndexOutOfRange):
-        oracle_query(pair_a_db, "E", 9, 1)
+        pair_a_db.oracle("E", 9, 1)
     with pytest.raises(IndexOutOfRange):
-        oracle_query(pair_a_db, "F", 1, 1)
+        pair_a_db.oracle("F", 1, 1)
 
 
 def test_oracle_ordering_and_membership(rng):
@@ -101,7 +100,7 @@ def test_oracle_ordering_and_membership(rng):
     for a in range(1, db.n + 1):
         answers = []
         for j in range(1, db.degree_bound + 1):
-            t = oracle_query(db, "E", a, j)
+            t = db.oracle("E", a, j)
             if t is None:
                 break
             answers.append(t)

@@ -1,18 +1,11 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxenum import figures
 from approxenum.db import Database
-from approxenum.errors import IndexOutOfRange, TypeMismatch
-from approxenum.neighborhoods import (
-    TypeRegistry,
-    embedding_into_representative,
-    extract_neighbourhood,
-    representative_element,
-)
+from approxenum.neighborhoods import TypeRegistry, extract_neighbourhood
 from approxenum.typecache import TypeCache
 
 
@@ -183,71 +176,6 @@ def test_component_count_matches_bfs(registry, rng):
                 seen.add(u)
                 stack.extend(adj[u] - seen)
         assert t.component_count == comps
-
-
-def test_representative_element_positions(pair_a_db, registry):
-    t = registry.type_of(pair_a_db, (1, 4), 2)
-    assert representative_element(t, 1) == t.representative.centres[0] == 1
-    assert representative_element(t, 2) == t.representative.centres[1] == 2
-    with pytest.raises(IndexOutOfRange):
-        representative_element(t, 9)
-
-
-def test_embedding_identity(registry, pair_a_db):
-    t = registry.type_of(pair_a_db, (1, 4), 2)
-    rep = t.representative
-    emb = embedding_into_representative(rep, t)
-    assert emb == {e: e for e in range(1, t.cardinality + 1)}
-
-
-def test_embedding_least_and_round_trip(registry, rng):
-    # oracle: enumerate all centre-respecting isomorphisms by permutation
-    # search and keep the lexicographically least image sequence
-    for _ in range(15):
-        db = random_graph_db(rng, 8)
-        a = rng.randint(1, 8)
-        nb = extract_neighbourhood(db, (a,), 1)
-        t = registry.canonicalize(nb)
-        emb = embedding_into_representative(nb, t)
-        frag, rep = nb.fragment, t.representative.fragment
-        domain = sorted(range(1, frag.size + 1), key=lambda e: frag.orig[e - 1])
-        best = None
-        for perm in itertools.permutations(range(1, rep.size + 1)):
-            mapping = {domain[i]: perm[i] for i in range(frag.size)}
-            if any(mapping[c] != cp for c, cp in zip(nb.centres, t.centre_positions)):
-                continue
-            ok = True
-            for rel_idx, rel in enumerate(frag.schema.relations):
-                mapped = set()
-                for tt in frag.tuples[rel_idx]:
-                    mt = tuple(mapping[c] for c in tt)
-                    mapped.add(tuple(sorted(mt)) if rel.symmetric else mt)
-                want = set(rep.tuples[rel_idx])
-                if rel.symmetric:
-                    want = {tuple(sorted(tv)) for tv in want}
-                if mapped != want:
-                    ok = False
-                    break
-            if ok:
-                seq = tuple(mapping[e] for e in domain)
-                if best is None or seq < best:
-                    best = seq
-        assert best is not None
-        assert tuple(emb[e] for e in domain) == best
-        # round trip: mapping the fragment through emb reproduces the rep
-        for rel_idx, rel in enumerate(frag.schema.relations):
-            mapped = set()
-            for tt in frag.tuples[rel_idx]:
-                mt = tuple(emb[c] for c in tt)
-                mapped.add(tuple(sorted(mt)) if rel.symmetric else mt)
-            assert mapped == set(rep.tuples[rel_idx])
-
-
-def test_embedding_type_mismatch(registry, pair_a_db, pair_b_db):
-    nb_b = extract_neighbourhood(pair_b_db, (1, 4), 2)
-    t_a = registry.type_of(pair_a_db, (1, 4), 2)
-    with pytest.raises(TypeMismatch):
-        embedding_into_representative(nb_b, t_a)
 
 
 def test_tuple_type_compose_agrees(registry, rng):

@@ -2,73 +2,33 @@ import itertools
 import random
 
 from approxenum import figures
-from approxenum.splits import (
-    anchor_radius,
-    candidate_found_tuples,
-    found_from,
-    leaders_of,
-    member_reach,
-    unique_split_of,
-)
-from approxenum.typecache import TypeCache
+from approxenum.db import gaifman_ball
+from approxenum.splits import candidate_found_tuples, member_reach
+from approxenum.typecache import TypeCache, group_positions
 
 
 def test_single_group_within_copy(registry):
     db = figures.graph_db(8, figures.PAIR_A_EDGES)
     cache = TypeCache(db, registry)
-    split = unique_split_of(cache, (1, 4), 2)
-    assert split.group_count() == 1
-    (grp,) = split.groups
-    assert grp.coords == (1, 2)
-    # the anchor is the wide-radius type of the leader (vertex 1)
-    wide = anchor_radius(2, 2)
-    assert grp.anchor_type_id == cache.element_type(1, wide)
+    assert group_positions(cache, (1, 4), 2) == [[0, 1]]
 
 
 def test_two_singleton_groups_cross_copy(registry):
     db = figures.pair_a_copies(2)
     cache = TypeCache(db, registry)
-    split = unique_split_of(cache, (1, 8 + 4), 2)
-    assert split.group_count() == 2
-    assert [g.coords for g in split.groups] == [(1,), (2,)]
-    assert all(g.binding.positions == () for g in split.groups)
+    assert group_positions(cache, (1, 8 + 4), 2) == [[0], [1]]
 
 
 def test_k1_always_singleton(registry, rng):
     db = figures.random_bounded_db(15, 3, rng, tuple_target=18)
     cache = TypeCache(db, registry)
     for a in range(1, 16):
-        split = unique_split_of(cache, (a,), 1)
-        assert split.group_count() == 1
-        assert split.groups[0].coords == (1,)
-
-
-def test_found_from_round_trip_fixed(registry):
-    db = figures.graph_db(8, figures.PAIR_A_EDGES)
-    cache = TypeCache(db, registry)
-    split = unique_split_of(cache, (1, 4), 2)
-    assert found_from(cache, (1,), split) == (1, 4)
-
-
-def test_found_from_wrong_anchor(registry):
-    db = figures.pair_a_copies(2)
-    cache = TypeCache(db, registry)
-    split = unique_split_of(cache, (1, 4), 2)  # within-copy pair, one group
-    # vertex 4 (the pendant) does not carry the root's anchor type
-    assert found_from(cache, (4,), split) is None
-
-
-def test_found_from_interacting_groups(registry):
-    db = figures.pair_a_copies(2)
-    cache = TypeCache(db, registry)
-    # split shaped by a fully separated cross-copy pair ...
-    split = unique_split_of(cache, (1, 8 + 4), 2)
-    # ... applied to leaders from one copy: anchors match, separation fails
-    assert found_from(cache, (1, 4), split) is None
+        assert group_positions(cache, (a,), 1) == [[0]]
 
 
 def test_round_trip_random(registry, rng):
-    # ten thousand random tuples across random databases reassemble exactly
+    # ten thousand random tuples across random databases: every group member
+    # stays within reach of its leader, and the groups partition the positions
     total = 0
     while total < 10_000:
         n = rng.randint(6, 24)
@@ -78,17 +38,12 @@ def test_round_trip_random(registry, rng):
         for _ in range(200):
             k = rng.choice([1, 2, 3])
             btuple = tuple(rng.randint(1, n) for _ in range(k))
-            split = unique_split_of(cache, btuple, r)
-            lead = leaders_of(cache, btuple, r)
-            assert found_from(cache, lead, split) == btuple
-            # distance bound: non-leaders stay within reach of their leader
-            for grp in split.groups:
-                leader = btuple[grp.coords[0] - 1]
-                reach = member_reach(r, k)
-                from approxenum.db import gaifman_ball
-                ball = gaifman_ball(db, (leader,), reach)
-                for coord in grp.coords[1:]:
-                    assert btuple[coord - 1] in ball
+            groups = group_positions(cache, btuple, r)
+            assert sorted(pos for grp in groups for pos in grp) == list(range(k))
+            for grp in groups:
+                ball = gaifman_ball(db, (btuple[grp[0]],), member_reach(r, k))
+                for pos in grp[1:]:
+                    assert btuple[pos] in ball
             total += 1
 
 
@@ -125,7 +80,7 @@ def test_candidate_disconnected_type(registry):
     assert (1, 9) in got
     # every returned tuple led by exactly these leaders
     for b in got:
-        assert leaders_of(cache, b, 2) == (1, 9)
+        assert [b[grp[0]] for grp in group_positions(cache, b, 2)] == [1, 9]
 
 
 def exhaustive_equivalence(db, registry, type_ids, k, r):

@@ -151,13 +151,11 @@ def test_sampling_tester_statistical(registry):
     assert accepts / 40 >= 2 / 3
 
 
-def test_sampling_clause_tester_function(registry):
-    from approxenum.testers import sampling_clause_tester
-
+def test_amplified_sampling_tester_full_check(registry):
     q = figures.demo_query(registry)
     db = figures.fallback_family(m=2, a_copies=1)
-    v = sampling_clause_tester(db, q.clauses[1], q.k, epsilon=0.05, seed=3,
-                               registry=registry, confidence=0.9)
+    tester = amplify(SamplingClauseTester(q.clauses[1], q.k), 0.9)
+    v = tester.run(TypeCache(db, registry), 0.05, 3)
     assert not v.accept  # marker vertex present, small instance full-checks
 
 
