@@ -26,7 +26,14 @@ from .engine import (
     enumerate_local,
     enumerate_local_strengthened,
 )
-from .errors import ApproxEnumError, ElementOutOfRange, NotLocal, ParameterError, ParseError
+from .errors import (
+    PARAMETER_RANGES,
+    ApproxEnumError,
+    ElementOutOfRange,
+    NotLocal,
+    ParseError,
+    check_parameter,
+)
 from .exact import answer_set, local_member
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, is_local, parse_query
@@ -66,22 +73,13 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad tuple {text!r}") from None
 
 
-# argument: (option, admissible test, admissible range as printed)
-_PARAMETER_RANGES = {
-    "gamma": ("--gamma", lambda v: 0 < v < 1, "in (0, 1)"),
-    "epsilon": ("--epsilon", lambda v: 0 < v <= 1, "in (0, 1]"),
-    "lam": ("--lambda", lambda v: 0 < v <= 1, "in (0, 1]"),
-    "expansion_cap": ("--expansion-cap", lambda v: v >= 1, "at least 1"),
-    "r": ("--r", lambda v: v >= 0, "at least 0"),
-}
-
-
 def _check_parameters(args) -> None:
     """Reject numeric options outside the ranges the guarantees are stated for."""
-    for name, (option, admissible, stated) in _PARAMETER_RANGES.items():
+    for name in PARAMETER_RANGES:
         value = getattr(args, name, None)
-        if value is not None and not admissible(value):
-            raise ParameterError(f"{option} must be {stated}, got {value}")
+        if value is not None:
+            option = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+            check_parameter(name, value, option)
 
 
 def _emit_stream(out):
@@ -208,8 +206,7 @@ def cmd_test(args) -> int:
                          sort_keys=True, default=str), file=sys.stderr)
         return 0
     cache = TypeCache(db, registry)
-    factory = make_tester_factory(args.tester, q.k)
-    tset = compute_type_set(cache, q, args.epsilon, seed, factory=factory)
+    tset = compute_type_set(cache, q, args.epsilon, seed, tester=args.tester)
     for i, clause in enumerate(q.clauses):
         accepted = clause.sphere.type.type_id in tset.members
         print(f"clause {i + 1}: {'accept' if accepted else 'reject'}")

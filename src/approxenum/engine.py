@@ -61,16 +61,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .db import Database
-from .errors import MissingTester, NotLocal, ParameterError
+from .errors import MissingTester, NotLocal, ParameterError, check_parameter
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, compute_conn, is_local
 from .randutil import child_rng, child_seed
 from .splits import _position_filters, candidate_found_tuples
-from .testers import ClauseTester, TesterFactory, compute_type_set, make_tester_factory
+from .testers import ClauseTester, TesterFactory, compute_type_set
 from .typecache import TypeCache
 
 _NUMPY_SPACE_LIMIT = 1 << 62
-_DENSE_DEDUP_LIMIT = 1 << 27
 
 
 def lemma_constants(mu: float, delta: float) -> tuple[float, int, int]:
@@ -152,50 +151,77 @@ class IndexSpace:
 
 
 class _Dedup:
-    """Seen-index record: dense boolean array or dict, lazily initialised."""
+    """Seen-index record: the cursor mark plus sorted runs of the samples ahead of it.
+
+    Every index at or below ``mark`` has already been a candidate, because the
+    cursor passed it, so only sampled indices beyond the mark are stored. They
+    sit in sorted runs, oldest and largest first; a new run merges into the one
+    before it once it reaches half that run's size, so an index takes part in
+    O(log) merges, and each merge drops the indices the mark has since passed.
+    The record starts empty whatever the size of the space. Runs keep the
+    dtype of the candidates: int64, or python ints in object arrays for
+    spaces of at least 2^62.
+    """
 
     def __init__(self, size: int, fault_skip: bool = False):
         self.size = size
         self.count = 0
         self.fault_skip = fault_skip
-        self._dense = size <= _DENSE_DEDUP_LIMIT
-        if self._dense:
-            self._arr = np.zeros(size + 1, dtype=bool)
-        else:
-            self._set: set[int] = set()
+        self.mark = 0
+        self._runs: list[np.ndarray] = []
 
     @property
     def saturated(self) -> bool:
         return self.count >= self.size
 
-    def test_and_set(self, idx: int) -> bool:
-        if self.fault_skip:
-            return True
-        if self._dense:
-            if self._arr[idx]:
-                return False
-            self._arr[idx] = True
-        else:
-            if idx in self._set:
-                return False
-            self._set.add(idx)
-        self.count += 1
-        return True
+    def test_and_set_many(self, idxs: np.ndarray, mark: int) -> np.ndarray:
+        """Mask of first-ever occurrences, in order; marks them seen.
 
-    def test_and_set_many(self, idxs: np.ndarray) -> np.ndarray:
-        """Mask of first-ever occurrences, in order; marks them seen."""
+        ``mark`` is the cursor after this batch: every index up to it occurs in
+        ``idxs`` or in an earlier batch.
+        """
         if self.fault_skip:
             return np.ones(idxs.size, dtype=bool)
-        if not self._dense:
-            return np.fromiter((self.test_and_set(int(i)) for i in idxs),
-                               dtype=bool, count=idxs.size)
-        uniq, first_pos = np.unique(idxs, return_index=True)
-        fresh = ~self._arr[uniq]
-        self._arr[uniq[fresh]] = True
-        self.count += int(fresh.sum())
+        prev = self.mark
+        past = np.flatnonzero(idxs > prev)
+        uniq, first = np.unique(idxs[past], return_index=True)
+        # uniq opens with the whole window (prev, mark] the cursor just
+        # covered, then holds the samples ahead of the new mark
+        width = mark - prev
+        ahead = uniq[width:]
+        fresh = np.ones(uniq.size, dtype=bool)
+        if self._runs:
+            # one search per run: the window's bounds, then the samples ahead
+            keys = np.concatenate(((prev + 1, mark + 1), ahead))
+            hits = np.zeros(keys.size, dtype=bool)
+            behind = []
+            for run in self._runs:
+                pos = run.searchsorted(keys)
+                behind.append(run[pos[0]:pos[1]])
+                hits |= run.take(pos, mode="clip") == keys
+            fresh[(np.concatenate(behind) - (prev + 1)).astype(np.intp)] = False
+            fresh[width:] &= ~hits[2:]
+        first = first[fresh]
         mask = np.zeros(idxs.size, dtype=bool)
-        mask[first_pos[fresh]] = True
+        mask[past[first]] = True
+        self.count += first.size
+        self.mark = mark
+        ahead = ahead[fresh[width:]]
+        if ahead.size:
+            self._push(ahead)
         return mask
+
+    def _push(self, run: np.ndarray) -> None:
+        runs = self._runs
+        runs.append(run)
+        while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
+            merged = np.concatenate((runs[-2], runs.pop()))
+            merged.sort(kind="stable")
+            merged = merged[np.searchsorted(merged, self.mark, side="right"):]
+            if merged.size:
+                runs[-1] = merged
+            else:
+                runs.pop()
 
 
 class _SampleStream:
@@ -252,7 +278,6 @@ class TypeMembership:
         self._allowed = [np.array(sorted(s), dtype=np.int64)
                          for s in _position_filters(cache.registry, type_ids, k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
-        self._pair_compose: dict[tuple[int, int], bool] = {}
         self.expansion_cap = 1
         self.identity_expansion = True
 
@@ -260,13 +285,8 @@ class TypeMembership:
         return self.cache.tuple_type(tup, self.radius) in self.type_ids
 
     def _pair_ok(self, ta: int, tb: int) -> bool:
-        key = (ta, tb)
-        hit = self._pair_compose.get(key)
-        if hit is None:
-            hit = self.cache.registry.compose_disjoint((0, 1), key, self.radius) \
-                in self.type_ids
-            self._pair_compose[key] = hit
-        return hit
+        return self.cache.registry.compose_disjoint((0, 1), (ta, tb), self.radius) \
+            in self.type_ids
 
     def check_block(self, arity: int, cols: list[np.ndarray]) -> np.ndarray:
         size = cols[0].size
@@ -467,8 +487,8 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
     if instrument:
         chunk = 1
 
-    def arrivals_for(cand: np.ndarray) -> list[tuple[int, ...]]:
-        fresh_mask = dedup.test_and_set_many(cand)
+    def arrivals_for(cand: np.ndarray, mark: int) -> list[tuple[int, ...]]:
+        fresh_mask = dedup.test_and_set_many(cand, mark)
         fresh = cand[fresh_mask]
         decoded: list = [None] * fresh.size
         for arity, sel, cols in space.split_blocks(fresh):
@@ -512,7 +532,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                     cand = samples
                 cursor += take_cursor
                 summary.cursor_consumed += take_cursor
-                new_items = arrivals_for(cand)
+                new_items = arrivals_for(cand, cursor)
                 inner.extend(new_items)
                 if instrument:
                     fresh_count = dedup.count  # updated inside arrivals_for
@@ -617,6 +637,7 @@ def enumerate_local(db: Database, q: QueryNF, gamma: float, seed: int,
     """Sound and, above the gamma*n^k answer threshold, 2/3-complete enumeration."""
     if not is_local(q):
         raise NotLocal("local enumeration requires a sentence-free query")
+    check_parameter("gamma", gamma)
     cache = _ensure_cache(db, registry, cache)
     space = IndexSpace.power(db.n, q.k)
     membership = TypeMembership(cache, q.sphere_type_ids(), q.k, q.radius)
@@ -639,6 +660,8 @@ def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: i
     """
     if not is_local(q):
         raise NotLocal("local enumeration requires a sentence-free query")
+    check_parameter("gamma", gamma)
+    check_parameter("expansion_cap", expansion_cap)
     cache = _ensure_cache(db, registry, cache)
     c = compute_conn(q)
     space = IndexSpace.union_up_to(db.n, c)
@@ -664,9 +687,9 @@ def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, se
     Preprocessing computes the tested relevant-type set; the loop then runs
     with membership "tuple type is in the set".
     """
+    check_parameter("gamma", gamma)
     cache = _ensure_cache(db, registry, cache)
-    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
-    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), factory=factory)
+    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     space = IndexSpace.power(db.n, q.k)
     membership = TypeMembership(cache, tset.members, q.k, q.radius)
     summary = partitioned_enumerate(space, membership, mu=gamma, delta=5.0 / 6.0,
@@ -684,10 +707,11 @@ def enumerate_general_strengthened(db: Database, q: QueryNF, gamma: float, epsil
                                    plugins: Optional[Sequence[ClauseTester]] = None,
                                    **loop_kwargs) -> EnumSummary:
     """General-query enumeration at the reduced threshold gamma*n^conn."""
+    check_parameter("gamma", gamma)
+    check_parameter("expansion_cap", expansion_cap)
     cache = _ensure_cache(db, registry, cache)
-    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"),
-                            factory=factory, plugins=plugins)
+                            tester=tester, plugins=plugins)
     c = compute_conn(q)
     space = IndexSpace.union_up_to(db.n, c)
     membership = SplitMembership(cache, tset.members, q.k, q.radius,

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter ranges checked
+where the library and the CLI are entered."""
+
+from __future__ import annotations
+
+from typing import Optional
 
 
 class ApproxEnumError(Exception):
@@ -35,6 +40,23 @@ class IndexOutOfRange(ApproxEnumError):
 
 class ParameterError(ApproxEnumError):
     """A numeric parameter lies outside the range its guarantee needs."""
+
+
+# parameter: (admissible test, admissible range as printed)
+PARAMETER_RANGES = {
+    "gamma": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "epsilon": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lam": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "expansion_cap": (lambda v: v >= 1, "at least 1"),
+    "r": (lambda v: v >= 0, "at least 0"),
+}
+
+
+def check_parameter(name: str, value, label: Optional[str] = None) -> None:
+    """Raise ParameterError unless ``value`` lies in the range of ``name``."""
+    admissible, stated = PARAMETER_RANGES[name]
+    if not admissible(value):
+        raise ParameterError(f"{label or name} must be {stated}, got {value}")
 
 
 class RadiusMismatch(ParseError):

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .db import Database
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, check_parameter
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, compute_conn
 from .randutil import child_rng, child_seed
 from .splits import candidate_found_tuples
-from .testers import TesterFactory, TypeSetT, compute_type_set, frequency_sample_size, make_tester_factory
+from .testers import TesterFactory, TypeSetT, compute_type_set, frequency_sample_size
 from .typecache import TypeCache
 
 
@@ -50,8 +50,7 @@ def membership_preprocess(db: Database, q: QueryNF, epsilon: float, seed: int,
                           tester: str | TesterFactory = "exact") -> MembershipIndex:
     if cache is None:
         cache = TypeCache(db, registry if registry is not None else TypeRegistry())
-    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
-    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), factory=factory)
+    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     return MembershipIndex(q, epsilon, seed, tset, cache)
 
 
@@ -120,10 +119,10 @@ def approx_count(db: Database, q: QueryNF, epsilon: float, lam: float, seed: int
     ``tracked_types`` overrides the type-count constant in the sample-size
     formula (defaults to the number of tested types plus one).
     """
+    check_parameter("lam", lam)
     if cache is None:
         cache = TypeCache(db, registry if registry is not None else TypeRegistry())
-    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
-    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), factory=factory)
+    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     c = compute_conn(q)
     n = db.n
     track = tracked_types if tracked_types is not None else len(tset.members) + 1

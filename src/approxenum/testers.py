@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .db import Database
-from .errors import MissingTester, SchemaMismatch
+from .errors import MissingTester, SchemaMismatch, check_parameter
 from .exact import eval_hanf
 from .neighborhoods import TypeRegistry
 from .query import Clause, HanfSentence, QueryNF
@@ -188,6 +188,7 @@ class MarkerExclusionTester(ClauseTester):
             raise SchemaMismatch("marker-exclusion tester needs exactly one negated >=1 sentence")
 
     def run(self, cache: TypeCache, epsilon: float, seed: int) -> TesterVerdict:
+        check_parameter("epsilon", epsilon)
         db = cache.db
         if len(db.schema.relations) != 1 or not db.schema.relations[0].symmetric:
             raise SchemaMismatch("marker-exclusion tester runs on single symmetric binary relations")
@@ -333,25 +334,27 @@ def make_tester_factory(kind: str, k: int, force_sample: bool = False) -> Tester
 
 
 def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
-                     factory: Optional[TesterFactory] = None,
+                     tester: str | TesterFactory = "exact",
                      plugins: Optional[Sequence[ClauseTester]] = None) -> TypeSetT:
     """Types of tuples that are plausibly answers, by running clause testers.
 
+    ``tester`` names a tester kind (see ``make_tester_factory``) or is a
+    factory; caller-supplied ``plugins``, one per clause, take its place.
     Small instances (n below 8k/epsilon) are checked exactly.  Otherwise each
     clause's tester, amplified to per-clause confidence (5/6)^(1/m), runs at
     epsilon/2; the accepted clauses contribute their sphere types.  The goal,
     with probability at least 5/6 overall: answer tuples have their type in
     the set, and tuples too far from being answers do not.
     """
+    check_parameter("epsilon", epsilon)
     m = len(q.clauses)
     if m == 0:
         return TypeSetT(frozenset(), (), exact=True)
-    if factory is None and plugins is None:
-        factory = make_tester_factory("exact", q.k)
+    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
     n = cache.db.n
     if plugins is not None and len(plugins) != m:
         raise MissingTester(f"{m} clauses but {len(plugins)} tester plugins")
-    if epsilon > 0 and n < 8 * q.k / epsilon and plugins is None:
+    if n < 8 * q.k / epsilon and plugins is None:
         members = set()
         details = []
         for clause in q.clauses:
@@ -365,9 +368,8 @@ def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
     members = set()
     details = []
     for idx, clause in enumerate(q.clauses):
-        base = plugins[idx] if plugins is not None else factory(clause, m)  # type: ignore[misc]
-        tester = amplify(base, target)
-        verdict = tester.run(cache, epsilon / 2.0, child_seed_int(seed, 1000 + idx))
+        base = plugins[idx] if plugins is not None else factory(clause, m)
+        verdict = amplify(base, target).run(cache, epsilon / 2.0, child_seed_int(seed, 1000 + idx))
         if verdict.accept:
             members.add(clause.sphere.type.type_id)
         details.append((clause.sphere.type.type_id, verdict))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -107,18 +108,37 @@ def test_empty_target_stops_immediately():
     assert summary.outputs == 0
 
 
-def test_batched_equals_literal():
+@pytest.mark.parametrize("space, seeds, max_outputs", [
+    (IndexSpace.power(40, 2), 8, None),
+    (IndexSpace.power(12_000, 2), 2, 1_000),    # above 2^27 indices
+    (IndexSpace.power(10**5, 4), 2, 1_000),     # at least 2^62: python-int indices
+], ids=["40-pow-2", "12000-pow-2", "100000-pow-4"])
+def test_batched_equals_literal(space, seeds, max_outputs):
     # the chunked loop must replay the single-round loop exactly
-    space = IndexSpace.power(40, 2)
     pred = lambda t: (t[0] * 7 + t[1]) % 3 == 0
-    for seed in range(8):
-        a, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
-                       0.2, 2 / 3, seed, chunk=1)
-        b, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
-                       0.2, 2 / 3, seed, chunk=4096)
-        c, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
-                       0.2, 2 / 3, seed, chunk=7)
-        assert a == b == c
+    for seed in range(seeds):
+        runs = []
+        for chunk in (1, 4096, 7):
+            got, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
+                             0.2, 2 / 3, seed, chunk=chunk, max_outputs=max_outputs)
+            runs.append(got)
+        assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("n, isolated, digest, seen", [
+    (2000, 1200, "9c35a2445a07f4a87202f3477f19bea98e766d27f3402f26aa9eb9682c0c7a91", 189065),
+    (12000, 7200, "04670ab852377f089a050f03a24ed687dc1263897a812f04dbdb6c3abae866b5", 200960),
+], ids=["below-2-27", "above-2-27"])
+def test_local_stream_digest_pinned(registry, n, isolated, digest, seen):
+    # streams on either side of 2^27 indices, pinned to the digests of the
+    # earlier two-path seen-record (a bool array below 2^27, a set above)
+    db = figures.planted_isolated_db(n, isolated, random.Random(n))
+    q = figures.isolated_pair_query(registry)
+    h = hashlib.sha256()
+    summary = enumerate_local(db, q, 0.3, 4, lambda t: h.update(f"{t[0]} {t[1]}\n".encode()),
+                              registry=registry, max_outputs=5000)
+    assert summary.outputs == 5000
+    assert (h.hexdigest(), summary.seen_count) == (digest, seen)
 
 
 def test_instrumented_equals_plain():

@@ -1,10 +1,10 @@
 import itertools
-import random
 
 import pytest
 
 from approxenum import figures
-from approxenum.errors import BudgetExceeded
+from approxenum.engine import enumerate_general_strengthened, enumerate_local_strengthened
+from approxenum.errors import BudgetExceeded, ParameterError
 from approxenum.exact import answer_set, local_member
 from approxenum.query import QueryNF
 from approxenum.services import (
@@ -13,7 +13,7 @@ from approxenum.services import (
     membership_answer,
     membership_preprocess,
 )
-from approxenum.testers import frequency_sample_size
+from approxenum.testers import MarkerExclusionTester, frequency_sample_size
 from approxenum.typecache import TypeCache
 
 
@@ -140,3 +140,22 @@ def test_approx_count_empty_type_set(registry):
     q = figures.local_pair_a_query(registry)
     est = approx_count(db, q, epsilon=0.1, lam=0.1, seed=2, registry=registry)
     assert est.estimate == 0.0
+
+
+def test_entry_points_reject_out_of_range_parameters(registry):
+    db = figures.fallback_family(m=2, a_copies=1)
+    q = figures.demo_query(registry)
+    cache = TypeCache(db, registry)
+    calls = [
+        lambda: approx_count(db, q, 0.1, 0, 1, cache=cache),
+        lambda: MarkerExclusionTester(q.clauses[1], 2).run(cache, 0, 1),
+        lambda: enumerate_local_strengthened(db, figures.local_pair_a_query(registry), 0.1, 1,
+                                             emit=lambda t: None, cache=cache,
+                                             expansion_cap=0),
+        lambda: enumerate_general_strengthened(db, q, 0.1, 0.1, 1, emit=lambda t: None,
+                                               cache=cache, expansion_cap=0),
+        lambda: membership_preprocess(db, q, -1, 1, cache=cache),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()

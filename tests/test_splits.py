@@ -1,5 +1,4 @@
 import itertools
-import random
 
 from approxenum import figures
 from approxenum.db import gaifman_ball

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -15,7 +14,6 @@ from approxenum.testers import (
     amplify,
     compute_type_set,
     example_tester,
-    frequency_sample_size,
     make_tester_factory,
     plant_cost,
     sphere_witness_exists,
@@ -217,7 +215,7 @@ def test_compute_type_set_statistical(registry):
     factory = make_tester_factory("sampling", q.k)
     wins = 0
     for seed in range(30):
-        tset = compute_type_set(cache, q, epsilon=0.05, seed=seed, factory=factory)
+        tset = compute_type_set(cache, q, epsilon=0.05, seed=seed, tester=factory)
         if q.clauses[1].sphere.type.type_id in tset.members:
             wins += 1
     assert wins / 30 >= 5 / 6
