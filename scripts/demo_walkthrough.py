@@ -24,6 +24,7 @@ from approxenum.neighborhoods import TypeRegistry
 from approxenum.query import print_query
 from approxenum.services import approx_count, membership_answer, membership_preprocess
 from approxenum.testers import example_tester
+from approxenum.typecache import TypeCache
 
 
 def main() -> int:
@@ -38,6 +39,7 @@ def main() -> int:
     registry = TypeRegistry()
     db = figures.fallback_family(m=3, a_copies=1)  # 3 triangle copies + 1 tree copy
     q = figures.demo_query(registry)
+    cache = TypeCache(db, registry)
 
     (outdir / "schema.txt").write_text(figures.GRAPH_SCHEMA.serialize())
     (outdir / "family.db").write_text(serialize_database(db))
@@ -50,17 +52,17 @@ def main() -> int:
 
     got = []
     enumerate_local_strengthened(db, figures.local_pair_a_query(registry), gamma=0.02,
-                                 seed=args.seed, emit=got.append, registry=registry)
+                                 seed=args.seed, emit=got.append, cache=cache)
     print(f"local enumeration of tree pairs (strengthened threshold): {sorted(got)}")
 
     got = []
     summary = enumerate_general_strengthened(db, q, gamma=0.05, epsilon=0.02,
                                              seed=args.seed, emit=got.append,
-                                             registry=registry, tester="exact")
+                                             cache=cache, tester="exact")
     print(f"general (strengthened) enumeration: {sorted(got)}  "
           f"[alpha={summary.alpha}, batch={summary.batch}]")
 
-    idx = membership_preprocess(db, q, epsilon=0.02, seed=args.seed, registry=registry)
+    idx = membership_preprocess(db, q, epsilon=0.02, seed=args.seed, cache=cache)
     tree_pair = (3 * figures.SHAPE_SIZE + 1, 3 * figures.SHAPE_SIZE + 4)
     print(f"membership {tree_pair}: {membership_answer(idx, tree_pair)}; "
           f"(1, 4): {membership_answer(idx, (1, 4))}")
@@ -69,8 +71,7 @@ def main() -> int:
     close = closeness_check(db, (1, 4), q, eps_one_edit, registry)
     print(f"triangle pair (1, 4) within one edit of being an answer: {close}")
 
-    est = approx_count(db, q, epsilon=eps_one_edit, lam=0.1, seed=args.seed,
-                       registry=registry)
+    est = approx_count(db, q, epsilon=eps_one_edit, lam=0.1, seed=args.seed, cache=cache)
     print(f"approximate count: {est.estimate:.2f} (half width {est.half_width:.1f})")
 
     verdict = example_tester(db, epsilon=0.5, seed=args.seed, registry=registry)

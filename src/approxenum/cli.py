@@ -1,10 +1,12 @@
-"""Command-line interface: enumeration, membership, counting, testing, benches.
+"""Command-line interface: enumeration, membership, counting, testing, splits, selftest.
 
 All randomized commands require --seed (or ``--seed auto``, which draws one
 from system entropy and reports it on stderr); two runs with the same inputs
 and seed produce byte-identical stdout.  Tuples stream to stdout one per
 line, terminated by ``-- end --`` (or ``-- truncated --`` when --max-outputs
-hits); run summaries go to stderr.
+hits); run summaries go to stderr.  Op counts per output come from
+``enumerate --instrument`` and from ``selftest --only C5``; wall-clock
+numbers from ``perfbench/run.py``.
 
 Exit codes: 0 success, 1 selftest failure, 2 bad inputs or parameters,
 3 mode/query mismatch.
@@ -17,7 +19,6 @@ import json
 import secrets
 import sys
 
-from . import figures
 from .db import Database, Schema, load_database
 from .engine import (
     enumerate_general,
@@ -107,26 +108,26 @@ def cmd_enumerate(args) -> int:
         return 3
     seed = _resolve_seed(args)
     emit = _emit_stream(sys.stdout)
-    common = dict(max_outputs=args.max_outputs, instrument=args.instrument)
+    common = dict(cache=TypeCache(db, registry), max_outputs=args.max_outputs,
+                  instrument=args.instrument)
     if mode == "local":
-        summary = enumerate_local(db, q, args.gamma, seed, emit, registry=registry, **common)
+        summary = enumerate_local(db, q, args.gamma, seed, emit, **common)
     elif mode == "local-strengthened":
         summary = enumerate_local_strengthened(
-            db, q, args.gamma, seed, emit, registry=registry,
-            expansion_cap=args.expansion_cap, **common)
+            db, q, args.gamma, seed, emit, expansion_cap=args.expansion_cap, **common)
     elif mode == "general":
         summary = enumerate_general(db, q, args.gamma, args.epsilon, seed, emit,
-                                    registry=registry, tester=args.tester, **common)
+                                    tester=args.tester, **common)
     elif mode == "general-strengthened":
         summary = enumerate_general_strengthened(
-            db, q, args.gamma, args.epsilon, seed, emit, registry=registry,
+            db, q, args.gamma, args.epsilon, seed, emit,
             tester=args.tester, expansion_cap=args.expansion_cap, **common)
     elif mode == "hanf":
         factory = make_tester_factory(args.tester, q.k)
         plugins = [factory(c, len(q.clauses)) for c in q.clauses]
         summary = enumerate_hanf_testable(
             db, q, args.gamma, args.epsilon, seed, emit, plugins=plugins,
-            registry=registry, expansion_cap=args.expansion_cap, **common)
+            expansion_cap=args.expansion_cap, **common)
     else:
         raise ParseError(f"unknown mode {mode!r}")
     print("-- truncated --" if summary.truncated else "-- end --")
@@ -157,8 +158,8 @@ def cmd_member(args) -> int:
     abar = _parse_tuple(args.tuple)
     if len(abar) != q.k:
         raise ParseError(f"tuple arity {len(abar)} does not match query k={q.k}")
+    cache = TypeCache(db, registry)
     if args.exact:
-        cache = TypeCache(db, registry)
         if is_local(q):
             verdict = local_member(cache, abar, q)
         else:
@@ -168,8 +169,7 @@ def cmd_member(args) -> int:
         print("true" if verdict else "false")
         return 0
     seed = _resolve_seed(args)
-    index = membership_preprocess(db, q, args.epsilon, seed, registry=registry,
-                                  tester=args.tester)
+    index = membership_preprocess(db, q, args.epsilon, seed, cache, tester=args.tester)
     print("true" if membership_answer(index, abar) else "false")
     print(json.dumps({"type_set": sorted(index.type_set.members),
                       "exact_branch": index.type_set.exact, "seed": seed},
@@ -183,7 +183,7 @@ def cmd_count(args) -> int:
     if q is None:
         raise ParseError("count requires --query")
     seed = _resolve_seed(args)
-    est = approx_count(db, q, args.epsilon, args.lam, seed, registry=registry,
+    est = approx_count(db, q, args.epsilon, args.lam, seed, TypeCache(db, registry),
                        tester=args.tester)
     print(f"{est.estimate:.3f}")
     print(json.dumps({"half_width": est.half_width, "conn": est.conn,
@@ -225,53 +225,6 @@ def cmd_split(args) -> int:
     cache = TypeCache(db, registry)
     for i, grp in enumerate(group_positions(cache, btuple, args.r), start=1):
         print(f"group {i}: coords={[pos + 1 for pos in grp]} leader={btuple[grp[0]]}")
-    return 0
-
-
-def _bench_family(name: str, n: int, registry: TypeRegistry):
-    if name == "iso-pairs":
-        db = figures.isolated_db(n)
-        q_local = figures.isolated_pair_query(registry, radius=2)
-        return db, q_local, figures.general_iso_query(registry)
-    if name == "tree-copies":
-        if n % figures.SHAPE_SIZE:
-            raise ParseError(f"tree-copies sizes must be multiples of {figures.SHAPE_SIZE}")
-        db = figures.pair_a_copies(n // figures.SHAPE_SIZE)
-        q_local = figures.local_pair_a_query(registry)
-        q_general = figures.demo_query(registry)
-        return db, q_local, q_general
-    raise ParseError(f"unknown family {name!r}")
-
-
-def cmd_bench_delay(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise ParseError(f"bad size list {args.sizes!r}") from None
-    if not sizes:
-        raise ParseError("empty size sweep")
-    seed = _resolve_seed(args)
-    registry = TypeRegistry()
-    rows = []
-    for n in sizes:
-        db, q_local, q_general = _bench_family(args.family, n, registry)
-        sink = lambda tup: None
-        if args.mode == "local":
-            summary = enumerate_local(db, q_local, args.gamma, seed, sink,
-                                      registry=registry, instrument=True,
-                                      max_outputs=args.max_outputs, keep_delays=True)
-        else:
-            summary = enumerate_general(db, q_general, args.gamma, args.epsilon, seed,
-                                        sink, registry=registry, tester=args.tester,
-                                        instrument=True, max_outputs=args.max_outputs,
-                                        keep_delays=True)
-        delays = sorted(summary.delays) or [0]
-        p99 = delays[min(len(delays) - 1, int(0.99 * len(delays)))]
-        rows.append((n, summary.outputs, summary.max_delay_ops, p99,
-                     summary.delay_bound, summary.max_oracle_per_output))
-    print(f"{'n':>10} {'outputs':>8} {'max_ops':>8} {'p99_ops':>8} {'bound':>8} {'max_oracle':>10}")
-    for row in rows:
-        print(f"{row[0]:>10} {row[1]:>8} {row[2]:>8} {row[3]:>8} {row[4]:>8} {row[5]:>10}")
     return 0
 
 
@@ -352,17 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=cmd_split, needs_seed=lambda a: False)
-
-    p = sub.add_parser("bench-delay", help="instrumented delay sweep over sizes")
-    p.add_argument("--family", default="iso-pairs", choices=["iso-pairs", "tree-copies"])
-    p.add_argument("--sizes", required=True, help="comma separated domain sizes")
-    p.add_argument("--mode", default="local", choices=["local", "general"])
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--tester", default="sampling", choices=["exact", "sampling", "example22"])
-    p.add_argument("--seed", default=None)
-    p.add_argument("--max-outputs", type=int, default=1000)
-    p.set_defaults(func=cmd_bench_delay, needs_seed=lambda a: True)
 
     p = sub.add_parser("selftest", help="reduced-trial acceptance suites")
     p.add_argument("--scale", type=float, default=0.2,

@@ -263,7 +263,10 @@ class Fragment:
                         edges.add((comps[i], comps[j]))
         return edges
 
-    def component_count(self) -> int:
+    def component_labels(self) -> list[int]:
+        """Gaifman-component label per element: local element e has label
+        ``labels[e - 1]``, and two elements share a label exactly when they
+        are connected."""
         parent = list(range(self.size + 1))
 
         def find(x: int) -> int:
@@ -276,7 +279,10 @@ class Fragment:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-        return len({find(e) for e in range(1, self.size + 1)})
+        return [find(e) for e in range(1, self.size + 1)]
+
+    def component_count(self) -> int:
+        return len(set(self.component_labels()))
 
     def as_database(self, degree_bound: int) -> Database:
         return Database(self.schema, self.size, degree_bound, self.tuples)

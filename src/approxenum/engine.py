@@ -62,14 +62,14 @@ import numpy as np
 
 from .db import Database
 from .errors import MissingTester, NotLocal, ParameterError, check_parameter
-from .neighborhoods import TypeRegistry
 from .query import QueryNF, compute_conn, is_local
 from .randutil import child_rng, child_seed
 from .splits import _position_filters, candidate_found_tuples
 from .testers import ClauseTester, TesterFactory, compute_type_set
-from .typecache import TypeCache
+from .typecache import TypeCache, check_cache
 
 _NUMPY_SPACE_LIMIT = 1 << 62
+_SAMPLE_BLOCK = 1 << 16
 
 
 def lemma_constants(mu: float, delta: float) -> tuple[float, int, int]:
@@ -181,6 +181,9 @@ class _Dedup:
         ``idxs`` or in an earlier batch.
         """
         if self.fault_skip:
+            # every candidate passes as fresh, but the count still advances so
+            # the post-saturation skip, and with it the run's end, still come
+            self.count += idxs.size
             return np.ones(idxs.size, dtype=bool)
         prev = self.mark
         past = np.flatnonzero(idxs > prev)
@@ -231,10 +234,9 @@ class _SampleStream:
     any group sizes without changing the stream.
     """
 
-    def __init__(self, size: int, seed: int, block: int = 1 << 16):
+    def __init__(self, size: int, seed: int):
         self.size = size
         self.drawn = 0
-        self._block = block
         if size < _NUMPY_SPACE_LIMIT:
             self._rng = child_rng(seed, "samples")
             self._py = None
@@ -255,7 +257,7 @@ class _SampleStream:
         filled = 0
         while filled < count:
             if self._pos >= self._buf.size:
-                self._buf = self._rng.integers(1, self.size + 1, size=self._block)
+                self._buf = self._rng.integers(1, self.size + 1, size=_SAMPLE_BLOCK)
                 self._pos = 0
             take = min(count - filled, self._buf.size - self._pos)
             out[filled:filled + take] = self._buf[self._pos:self._pos + take]
@@ -348,13 +350,10 @@ class SplitMembership:
         }
         for tid in type_ids:
             t = reg.by_id(tid)
-            if len(t.centre_positions) != k:
+            c = t.component_count
+            if len(t.centre_positions) != k or c > conn:
                 continue
-            leaders = _leader_positions(reg, t)
-            c = len(leaders)
-            if c > conn:
-                continue
-            for j, pos in enumerate(leaders):
+            for j, pos in enumerate(_leader_positions(t)):
                 allowed[c][j].add(reg.centre_restriction(t, pos))
         self._allowed = {
             c: [np.array(sorted(s), dtype=np.int64) for s in slots]
@@ -386,27 +385,13 @@ class SplitMembership:
         return candidate_found_tuples(self.cache, tup, self.type_ids, self.k, self.radius)
 
 
-def _leader_positions(registry: TypeRegistry, t) -> list[int]:
+def _leader_positions(t) -> list[int]:
     """0-based centre slots leading each component of a type, by first slot."""
-    frag = t.representative.fragment
-    parent = list(range(frag.size + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in frag.gaifman_edges():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, int] = {}
+    labels = t.representative.fragment.component_labels()
+    leaders: dict[int, int] = {}
     for slot, centre in enumerate(t.representative.centres):
-        root = find(centre)
-        if root not in groups:
-            groups[root] = slot
-    return sorted(groups.values())
+        leaders.setdefault(labels[centre - 1], slot)
+    return list(leaders.values())
 
 
 # -- session summary -----------------------------------------------------------
@@ -440,7 +425,6 @@ class EnumSummary:
     max_out_queue: int = 0
     delay_bound: int = 0
     preprocessing: dict = field(default_factory=dict)
-    delays: list = field(default_factory=list)
 
 
 # -- the core loop ---------------------------------------------------------------
@@ -452,21 +436,16 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                           max_outputs: Optional[int] = None,
                           instrument: bool = False,
                           chunk: int = 4096,
-                          keep_delays: bool = False,
-                          _fault_skip_dedup: bool = False,
-                          summary: Optional[EnumSummary] = None) -> EnumSummary:
+                          _fault_skip_dedup: bool = False) -> EnumSummary:
     """Run the sampling loop; see the module docstring for the contract."""
     from collections import deque
 
+    if max_outputs is not None:
+        check_parameter("max_outputs", max_outputs)
     q, alpha, batch = lemma_constants(mu, delta)
-    if summary is None:
-        summary = EnumSummary(mode=mode, n=space.n, k=max(space.arities),
-                              space_size=space.size, mu=mu, delta=delta, q=q,
-                              alpha=alpha, batch=batch, seed=seed)
-    else:
-        summary.mu, summary.delta, summary.q = mu, delta, q
-        summary.alpha, summary.batch = alpha, batch
-        summary.space_size = space.size
+    summary = EnumSummary(mode=mode, n=space.n, k=max(space.arities),
+                          space_size=space.size, mu=mu, delta=delta, q=q,
+                          alpha=alpha, batch=batch, seed=seed)
     summary.delay_bound = analytic_delay_bound(alpha, batch, membership.expansion_cap)
     if space.size == 0:
         return summary
@@ -572,7 +551,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                     emitted += 1
                     if instrument:
                         ops_since_emit += 2
-                        _record_delay(summary, ops_since_emit, had_output, keep_delays)
+                        _record_delay(summary, ops_since_emit, had_output)
                         if db is not None:
                             summary.max_oracle_per_output = max(
                                 summary.max_oracle_per_output, db.probes - probes0)
@@ -593,7 +572,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                 emitted += 1
                 if instrument:
                     ops_since_emit += 2
-                    _record_delay(summary, ops_since_emit, had_output, keep_delays)
+                    _record_delay(summary, ops_since_emit, had_output)
                     had_output = True
                     ops_since_emit = 0
                 if max_outputs is not None and emitted >= max_outputs:
@@ -611,34 +590,23 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
     return summary
 
 
-def _record_delay(summary: EnumSummary, ops: int, had_output: bool, keep: bool) -> None:
+def _record_delay(summary: EnumSummary, ops: int, had_output: bool) -> None:
     if not had_output:
         summary.first_output_ops = ops
     summary.max_delay_ops = max(summary.max_delay_ops, ops)
-    if keep:
-        summary.delays.append(ops)
 
 
 # -- query enumeration modes -----------------------------------------------------
 
 
-def _ensure_cache(db: Database, registry: Optional[TypeRegistry],
-                  cache: Optional[TypeCache]) -> TypeCache:
-    if cache is not None:
-        return cache
-    return TypeCache(db, registry if registry is not None else TypeRegistry())
-
-
 def enumerate_local(db: Database, q: QueryNF, gamma: float, seed: int,
                     emit: Callable[[tuple[int, ...]], None],
-                    registry: Optional[TypeRegistry] = None,
-                    cache: Optional[TypeCache] = None,
-                    **loop_kwargs) -> EnumSummary:
+                    cache: TypeCache, **loop_kwargs) -> EnumSummary:
     """Sound and, above the gamma*n^k answer threshold, 2/3-complete enumeration."""
     if not is_local(q):
         raise NotLocal("local enumeration requires a sentence-free query")
     check_parameter("gamma", gamma)
-    cache = _ensure_cache(db, registry, cache)
+    check_cache(db, cache)
     space = IndexSpace.power(db.n, q.k)
     membership = TypeMembership(cache, q.sphere_type_ids(), q.k, q.radius)
     return partitioned_enumerate(space, membership, mu=gamma, delta=2.0 / 3.0,
@@ -647,9 +615,7 @@ def enumerate_local(db: Database, q: QueryNF, gamma: float, seed: int,
 
 def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: int,
                                  emit: Callable[[tuple[int, ...]], None],
-                                 registry: Optional[TypeRegistry] = None,
-                                 cache: Optional[TypeCache] = None,
-                                 expansion_cap: int = 1,
+                                 cache: TypeCache, expansion_cap: int = 1,
                                  **loop_kwargs) -> EnumSummary:
     """Local enumeration with the threshold reduced to gamma*n^conn.
 
@@ -662,7 +628,7 @@ def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: i
         raise NotLocal("local enumeration requires a sentence-free query")
     check_parameter("gamma", gamma)
     check_parameter("expansion_cap", expansion_cap)
-    cache = _ensure_cache(db, registry, cache)
+    check_cache(db, cache)
     c = compute_conn(q)
     space = IndexSpace.union_up_to(db.n, c)
     membership = SplitMembership(cache, q.sphere_type_ids(), q.k, q.radius,
@@ -678,9 +644,7 @@ def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: i
 
 def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, seed: int,
                       emit: Callable[[tuple[int, ...]], None],
-                      registry: Optional[TypeRegistry] = None,
-                      cache: Optional[TypeCache] = None,
-                      tester: str | TesterFactory = "exact",
+                      cache: TypeCache, tester: str | TesterFactory = "exact",
                       **loop_kwargs) -> EnumSummary:
     """Approximate enumeration for general queries at threshold gamma*n^k.
 
@@ -688,7 +652,7 @@ def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, se
     with membership "tuple type is in the set".
     """
     check_parameter("gamma", gamma)
-    cache = _ensure_cache(db, registry, cache)
+    check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     space = IndexSpace.power(db.n, q.k)
     membership = TypeMembership(cache, tset.members, q.k, q.radius)
@@ -700,16 +664,14 @@ def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, se
 
 def enumerate_general_strengthened(db: Database, q: QueryNF, gamma: float, epsilon: float,
                                    seed: int, emit: Callable[[tuple[int, ...]], None],
-                                   registry: Optional[TypeRegistry] = None,
-                                   cache: Optional[TypeCache] = None,
-                                   tester: str | TesterFactory = "exact",
+                                   cache: TypeCache, tester: str | TesterFactory = "exact",
                                    expansion_cap: int = 1,
                                    plugins: Optional[Sequence[ClauseTester]] = None,
                                    **loop_kwargs) -> EnumSummary:
     """General-query enumeration at the reduced threshold gamma*n^conn."""
     check_parameter("gamma", gamma)
     check_parameter("expansion_cap", expansion_cap)
-    cache = _ensure_cache(db, registry, cache)
+    check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"),
                             tester=tester, plugins=plugins)
     c = compute_conn(q)
@@ -728,9 +690,7 @@ def enumerate_general_strengthened(db: Database, q: QueryNF, gamma: float, epsil
 
 def enumerate_hanf_testable(db: Database, q: QueryNF, gamma: float, epsilon: float,
                             seed: int, emit: Callable[[tuple[int, ...]], None],
-                            plugins: Sequence[ClauseTester],
-                            registry: Optional[TypeRegistry] = None,
-                            cache: Optional[TypeCache] = None,
+                            plugins: Sequence[ClauseTester], cache: TypeCache,
                             expansion_cap: int = 1,
                             **loop_kwargs) -> EnumSummary:
     """Strengthened general enumeration with caller-supplied clause testers."""
@@ -740,7 +700,7 @@ def enumerate_hanf_testable(db: Database, q: QueryNF, gamma: float, epsilon: flo
             f"{0 if plugins is None else len(plugins)}"
         )
     summary = enumerate_general_strengthened(
-        db, q, gamma, epsilon, seed, emit, registry=registry, cache=cache,
+        db, q, gamma, epsilon, seed, emit, cache=cache,
         expansion_cap=expansion_cap, plugins=plugins, **loop_kwargs)
     summary.mode = "hanf-testable"
     return summary

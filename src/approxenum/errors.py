@@ -49,6 +49,8 @@ PARAMETER_RANGES = {
     "lam": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "expansion_cap": (lambda v: v >= 1, "at least 1"),
     "r": (lambda v: v >= 0, "at least 0"),
+    "max_outputs": (lambda v: v >= 0, "at least 0"),
+    "samples": (lambda v: v >= 1, "at least 1"),
 }
 
 

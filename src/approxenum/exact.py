@@ -19,6 +19,9 @@ from .neighborhoods import TypeRegistry
 from .query import HanfSentence, QueryNF, SphereAtom, is_local
 from .typecache import TypeCache
 
+EDIT_BUDGET_CAP = 3  # largest edit budget the closeness search explores
+INSERTION_SPACE_CAP = 2000  # most candidate insertions it enumerates
+
 
 @dataclass(frozen=True)
 class AnswerSet:
@@ -50,21 +53,13 @@ def eval_hanf(cache: TypeCache, sentence: HanfSentence) -> bool:
     return not holds if sentence.negated else holds
 
 
-def eval_query(cache: TypeCache, abar: Sequence[int], q: QueryNF,
-               sentence_verdicts: Optional[dict[int, bool]] = None) -> bool:
-    """True iff some clause's sphere matches and all its sentences hold.
-
-    ``sentence_verdicts`` lets callers share the per-clause sentence scans
-    across many tuples (they do not depend on the tuple).
-    """
+def eval_query(cache: TypeCache, abar: Sequence[int], q: QueryNF) -> bool:
+    """True iff some clause's sphere matches and all its sentences hold."""
     abar = tuple(abar)
     if len(abar) != q.k:
         return False
-    for idx, clause in enumerate(q.clauses):
-        if sentence_verdicts is not None:
-            sentences_ok = sentence_verdicts[idx]
-        else:
-            sentences_ok = all(eval_hanf(cache, s) for s in clause.sentences)
+    for clause in q.clauses:
+        sentences_ok = all(eval_hanf(cache, s) for s in clause.sentences)
         if sentences_ok and eval_sphere(cache, abar, clause.sphere):
             return True
     return False
@@ -103,7 +98,7 @@ def local_member(cache: TypeCache, abar: Sequence[int], q: QueryNF) -> bool:
 # -- edit-distance closeness --------------------------------------------------
 
 
-def _edit_candidates(db: Database, insertion_space_cap: int) -> list[tuple[str, int, tuple]]:
+def _edit_candidates(db: Database) -> list[tuple[str, int, tuple]]:
     """All legal single edits: deletions of present tuples, insertions of absent ones."""
     edits: list[tuple[str, int, tuple]] = []
     for rel_idx, tups in enumerate(db.tuples):
@@ -118,9 +113,9 @@ def _edit_candidates(db: Database, insertion_space_cap: int) -> list[tuple[str, 
             universe = itertools.product(range(1, db.n + 1), repeat=rel.arity)
         for t in universe:
             space += 1
-            if space > insertion_space_cap:
+            if space > INSERTION_SPACE_CAP:
                 raise BudgetExceeded(
-                    f"insertion space exceeds {insertion_space_cap}; instance too large for the edit search"
+                    f"insertion space exceeds {INSERTION_SPACE_CAP}; instance too large for the edit search"
                 )
             if t not in present:
                 edits.append(("ins", rel_idx, t))
@@ -152,22 +147,21 @@ def _apply_edits(db: Database, edits: Sequence[tuple[str, int, tuple]]) -> Optio
 
 
 def closeness_check(db: Database, abar: Sequence[int], q: QueryNF, epsilon: float,
-                    registry: TypeRegistry, edit_budget_cap: int = 3,
-                    insertion_space_cap: int = 2000) -> bool:
+                    registry: TypeRegistry) -> bool:
     """Can at most floor(epsilon*d*n) tuple edits make ``abar`` an answer?
 
     The edited database must stay within the degree bound (the only class
     constraint enforced here) and must leave the radius-r type of ``abar``
     unchanged.  Exhaustive over edit sets, so only desk-scale instances are
-    admissible; a budget above ``edit_budget_cap`` raises BudgetExceeded
+    admissible; a budget above ``EDIT_BUDGET_CAP`` raises BudgetExceeded
     rather than returning a wrong answer.  Since the type of ``abar`` is
     preserved, only clauses whose sphere already matches can ever fire, which
     prunes the search to their sentences.
     """
     abar = tuple(abar)
     budget = int(epsilon * db.degree_bound * db.n)
-    if budget > edit_budget_cap:
-        raise BudgetExceeded(f"edit budget {budget} exceeds cap {edit_budget_cap}")
+    if budget > EDIT_BUDGET_CAP:
+        raise BudgetExceeded(f"edit budget {budget} exceeds cap {EDIT_BUDGET_CAP}")
 
     cache = TypeCache(db, registry)
     own_type = cache.tuple_type(abar, q.radius)
@@ -177,7 +171,7 @@ def closeness_check(db: Database, abar: Sequence[int], q: QueryNF, epsilon: floa
     if eval_query(cache, abar, q):
         return True  # zero edits suffice
 
-    edits = _edit_candidates(db, insertion_space_cap)
+    edits = _edit_candidates(db)
     for size in range(1, budget + 1):
         for combo in itertools.combinations(edits, size):
             edited = _apply_edits(db, combo)

@@ -233,16 +233,17 @@ def criterion_constant_delay(ctx: Context) -> CriterionResult:
         maxima = []
         for n in sizes:
             db = figures.isolated_db(n)
+            cache = TypeCache(db, registry)
             sink: list = []
             if mode == "local":
                 q = figures.isolated_pair_query(registry, radius=2)
                 summary = enumerate_local(db, q, gamma=0.3, seed=41, emit=sink.append,
-                                          registry=registry, instrument=True,
+                                          cache=cache, instrument=True,
                                           max_outputs=cap)
             else:
                 q = figures.general_iso_query(registry)
                 summary = enumerate_general(db, q, gamma=0.3, epsilon=0.3, seed=41,
-                                            emit=sink.append, registry=registry,
+                                            emit=sink.append, cache=cache,
                                             tester="sampling", instrument=True,
                                             max_outputs=cap)
             ctx.note_run(sink)
@@ -413,8 +414,7 @@ def criterion_general_soundness(ctx: Context) -> CriterionResult:
     def is_ok(inst_idx: int, db: Database, eps: float, tup: tuple) -> bool:
         key = (inst_idx, tup)
         if key not in closeness_memo:
-            closeness_memo[key] = closeness_check(db, tup, q, eps, registry,
-                                                  edit_budget_cap=3)
+            closeness_memo[key] = closeness_check(db, tup, q, eps, registry)
         return closeness_memo[key]
 
     trials = ctx.trials(300, floor=30)
@@ -490,7 +490,7 @@ def criterion_approx_counting(ctx: Context) -> CriterionResult:
     candidates = [b for b in itertools.product(range(1, db2.n + 1), repeat=2)
                   if cache2.tuple_type(b, q.radius) in clause_types]
     close = {b for b in candidates
-             if closeness_check(db2, b, q, eps, registry, edit_budget_cap=3)}
+             if closeness_check(db2, b, q, eps, registry)}
     true_close = len(exact_answers | close)
     assert truth2 == 1 and true_close == 3
     trials2 = ctx.trials(300, floor=30)
@@ -526,11 +526,13 @@ CRITERIA: dict[str, Callable[[Context], CriterionResult]] = {
 
 def run_criteria(scale: float = 1.0, fault: Optional[str] = None,
                  only: Optional[str] = None) -> list[CriterionResult]:
+    """Run the chosen criteria, then C4, which audits the runs they recorded."""
     ctx = Context(scale=scale, fault=fault)
     wanted = None if only is None else {w.strip().upper() for w in only.split(",")}
     results = []
     for name, runner in CRITERIA.items():
-        if wanted is not None and name not in wanted and name != "C4":
+        if name == "C4" or (wanted is not None and name not in wanted):
             continue
         results.append(runner(ctx))
+    results.append(criterion_no_duplicates(ctx))
     return results

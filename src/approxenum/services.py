@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .db import Database
 from .errors import BudgetExceeded, check_parameter
-from .neighborhoods import TypeRegistry
 from .query import QueryNF, compute_conn
 from .randutil import child_rng, child_seed
 from .splits import candidate_found_tuples
 from .testers import TesterFactory, TypeSetT, compute_type_set, frequency_sample_size
-from .typecache import TypeCache
+from .typecache import TypeCache, check_cache
+
+CENSUS_BUDGET = 2_000_000  # most k-tuples an exhaustive frequency census scans
 
 
 @dataclass
@@ -45,11 +46,9 @@ class MembershipIndex:
 
 
 def membership_preprocess(db: Database, q: QueryNF, epsilon: float, seed: int,
-                          registry: Optional[TypeRegistry] = None,
-                          cache: Optional[TypeCache] = None,
+                          cache: TypeCache,
                           tester: str | TesterFactory = "exact") -> MembershipIndex:
-    if cache is None:
-        cache = TypeCache(db, registry if registry is not None else TypeRegistry())
+    check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     return MembershipIndex(q, epsilon, seed, tset, cache)
 
@@ -74,21 +73,19 @@ class DistributionVector:
 
 
 def estimate_frequencies(cache: TypeCache, radius: int, k: int, samples: int,
-                         seed: int, exhaustive: bool = False,
-                         census_budget: int = 2_000_000) -> DistributionVector:
+                         seed: int, exhaustive: bool = False) -> DistributionVector:
     """Type distribution of k-tuples: sampled, or exact with ``exhaustive``."""
     n = cache.db.n
     entries: dict[int, float] = {}
     if exhaustive:
-        if n ** k > census_budget:
+        if n ** k > CENSUS_BUDGET:
             raise BudgetExceeded(f"census over n^k = {n ** k} exceeds budget")
         total = n ** k
         for tup in itertools.product(range(1, n + 1), repeat=k):
             tid = cache.tuple_type(tup, radius)
             entries[tid] = entries.get(tid, 0.0) + 1.0
         return DistributionVector({t: v / total for t, v in entries.items()})
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    check_parameter("samples", samples)
     if n == 0:
         return DistributionVector({})
     rng = child_rng(seed, "frequencies")
@@ -110,22 +107,18 @@ class CountEstimate:
 
 
 def approx_count(db: Database, q: QueryNF, epsilon: float, lam: float, seed: int,
-                 registry: Optional[TypeRegistry] = None,
-                 cache: Optional[TypeCache] = None,
-                 tester: str | TesterFactory = "exact",
-                 tracked_types: Optional[int] = None) -> CountEstimate:
+                 cache: TypeCache,
+                 tester: str | TesterFactory = "exact") -> CountEstimate:
     """Estimate the answer count; see the module docstring for the guarantee.
 
-    ``tracked_types`` overrides the type-count constant in the sample-size
-    formula (defaults to the number of tested types plus one).
+    The sample-size formula tracks the tested types plus one.
     """
     check_parameter("lam", lam)
-    if cache is None:
-        cache = TypeCache(db, registry if registry is not None else TypeRegistry())
+    check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     c = compute_conn(q)
     n = db.n
-    track = tracked_types if tracked_types is not None else len(tset.members) + 1
+    track = len(tset.members) + 1
     per_arity: dict[int, float] = {}
     sizes: dict[int, int] = {}
     total = 0.0

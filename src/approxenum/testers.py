@@ -131,13 +131,11 @@ class SamplingClauseTester(ClauseTester):
     error_model = "two-sided"
 
     def run(self, cache: TypeCache, epsilon: float, seed: int) -> TesterVerdict:
+        check_parameter("epsilon", epsilon)
         db = cache.db
         n, d = db.n, db.degree_bound
         insert_cost = plant_cost(self.clause.sphere.type, d)
-        full_check_below = max(
-            insert_cost / (epsilon * d) if epsilon > 0 else float("inf"),
-            8 * self.k / epsilon if epsilon > 0 else float("inf"),
-        )
+        full_check_below = max(insert_cost / (epsilon * d), 8 * self.k / epsilon)
         if not self.force_sample and n < full_check_below:
             ok = clause_holds_exactly(cache, self.clause, self.k)
             return TesterVerdict(ok, 0, seed, {"tester": "sampling", "mode": "full-check"})
@@ -315,15 +313,15 @@ class TypeSetT:
 TesterFactory = Callable[[Clause, int], ClauseTester]
 
 
-def make_tester_factory(kind: str, k: int, force_sample: bool = False) -> TesterFactory:
+def make_tester_factory(kind: str, k: int) -> TesterFactory:
     def factory(clause: Clause, _m: int) -> ClauseTester:
         if kind == "exact":
             return ExactClauseTester(clause, k)
         if kind == "sampling":
-            return SamplingClauseTester(clause, k, force_sample=force_sample)
+            return SamplingClauseTester(clause, k)
         if kind == "example22":
             if not clause.sentences:
-                return SamplingClauseTester(clause, k, force_sample=force_sample)
+                return SamplingClauseTester(clause, k)
             try:
                 return MarkerExclusionTester(clause, k)
             except SchemaMismatch as exc:

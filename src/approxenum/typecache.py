@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .db import Database, gaifman_ball
+from .errors import ParameterError
 from .neighborhoods import TypeRegistry, extract_neighbourhood
 
 
@@ -142,3 +143,13 @@ class TypeCache:
         """Bypass the composition path; reference for property tests."""
         nb = extract_neighbourhood(self.db, tuple(btuple), radius)
         return self.registry.canonicalize(nb).type_id
+
+
+def check_cache(db: Database, cache: TypeCache) -> None:
+    """Raise ParameterError unless ``cache`` serves ``db`` itself.
+
+    A cache over another database would answer every type lookup for that
+    database, so the entry points check it before the first lookup.
+    """
+    if cache.db is not db:
+        raise ParameterError("cache was built over another database")

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxenum import figures
 from approxenum.cli import main
@@ -11,8 +14,9 @@ from approxenum.neighborhoods import TypeRegistry
 from approxenum.query import print_query
 
 
-@pytest.fixture
-def workdir(tmp_path):
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli")
     registry = TypeRegistry()
     schema = tmp_path / "schema.txt"
     schema.write_text(figures.GRAPH_SCHEMA.serialize())
@@ -113,12 +117,44 @@ def test_parse_error_exit_code(workdir, tmp_path):
     (["count", "--lambda", "0"], "demo.query"),
     (["enumerate", "--mode", "local-strengthened", "--expansion-cap", "0"], "local.query"),
     (["member", "--epsilon", "-1", "--tuple", "17,20"], "demo.query"),
-], ids=["gamma-0", "gamma-1.5", "epsilon-0", "lambda-0", "expansion-cap-0", "epsilon-negative"])
+    (["enumerate", "--mode", "local", "--max-outputs", "-3"], "local.query"),
+], ids=["gamma-0", "gamma-1.5", "epsilon-0", "lambda-0", "expansion-cap-0", "epsilon-negative",
+        "max-outputs-negative"])
 def test_parameter_out_of_range(workdir, argv, query):
     code, out, err = run_cli(argv + ["--seed", "1"] + io_args(workdir, query))
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --")
+
+
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_OUTSIDE_UNIT = st.one_of(st.floats(max_value=0), st.floats(min_value=1, exclude_min=True),
+                          _NONFINITE)
+# numeric option: (command that takes it, values outside its range)
+FUZZED = {
+    "--gamma": (["enumerate", "--mode", "local", "--seed", "1"],
+                st.one_of(st.floats(max_value=0), st.floats(min_value=1), _NONFINITE)),
+    "--epsilon": (["member", "--tuple", "17,20", "--seed", "1"], _OUTSIDE_UNIT),
+    "--lambda": (["count", "--seed", "1"], _OUTSIDE_UNIT),
+    "--expansion-cap": (["enumerate", "--mode", "local-strengthened", "--seed", "1"],
+                        st.integers(max_value=0)),
+    "--r": (["split", "--tuple", "1,4"], st.integers(max_value=-1)),
+    "--max-outputs": (["enumerate", "--mode", "local", "--seed", "1"],
+                      st.integers(max_value=-1)),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_parameters_rejected(workdir, data):
+    option = data.draw(st.sampled_from(sorted(FUZZED)))
+    command, values = FUZZED[option]
+    value = data.draw(values)
+    # the = form keeps argparse from reading a negative value as an option
+    code, out, err = run_cli(command + [f"{option}={value!r}"] + io_args(workdir))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option} ")
 
 
 def test_member_exact_and_approx(workdir):
@@ -177,14 +213,6 @@ def test_split_rejects_bad_inputs(workdir, tup, r):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_bench_delay_single_row(workdir):
-    code, out, err = run_cli(["bench-delay", "--sizes", "400", "--seed", "3",
-                              "--mode", "local", "--max-outputs", "50"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2 and lines[0].split()[0] == "n"
-
-
 def test_seed_auto(workdir):
     argv = ["enumerate", "--mode", "local", "--gamma", "0.01", "--seed", "auto"] \
         + io_args(workdir)
@@ -195,6 +223,15 @@ def test_seed_auto(workdir):
 def test_selftest_scale_zero():
     code, out, err = run_cli(["selftest", "--scale", "0"])
     assert code == 0 and "vacuous" in out
+
+
+def test_selftest_audits_duplicates_last():
+    code, out, err = run_cli(["selftest", "--scale", "0.02", "--only", "C5"])
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split("]")[0] for line in lines] == ["[C5 constant delay", "[C4 no duplicates"]
+    audited = int(re.search(r"(\d+) runs audited", lines[-1]).group(1))
+    assert audited > 0
 
 
 def test_selftest_fault_injection():

@@ -136,7 +136,7 @@ def test_local_stream_digest_pinned(registry, n, isolated, digest, seen):
     q = figures.isolated_pair_query(registry)
     h = hashlib.sha256()
     summary = enumerate_local(db, q, 0.3, 4, lambda t: h.update(f"{t[0]} {t[1]}\n".encode()),
-                              registry=registry, max_outputs=5000)
+                              cache=TypeCache(db, registry), max_outputs=5000)
     assert summary.outputs == 5000
     assert (h.hexdigest(), summary.seen_count) == (digest, seen)
 
@@ -146,7 +146,7 @@ def test_instrumented_equals_plain():
     pred = lambda t: t[0] != t[1]
     for seed in (3, 4):
         a, sa = collect(partitioned_enumerate, space, PredicateMembership(pred),
-                        0.3, 2 / 3, seed, instrument=True, keep_delays=True)
+                        0.3, 2 / 3, seed, instrument=True)
         b, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
                        0.3, 2 / 3, seed)
         assert a == b
@@ -164,6 +164,10 @@ def test_no_duplicates_and_fault_injection():
     bad, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
                      0.4, 2 / 3, 5, max_outputs=300, _fault_skip_dedup=True)
     assert len(bad) != len(set(bad))  # negative control: dedup off duplicates
+    # without an output cap the faulty run must still end
+    bad, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
+                     0.4, 2 / 3, 5, _fault_skip_dedup=True)
+    assert len(bad) != len(set(bad))
 
 
 def test_completeness_statistics():
@@ -226,7 +230,7 @@ def test_enumerate_local_rejects_nonlocal(registry):
     db = figures.pair_a_copies(2)
     q = figures.demo_query(registry)
     with pytest.raises(NotLocal):
-        enumerate_local(db, q, 0.1, 1, emit=lambda t: None)
+        enumerate_local(db, q, 0.1, 1, emit=lambda t: None, cache=TypeCache(db, registry))
 
 
 def test_enumerate_local_strengthened_linear_threshold(registry):

@@ -7,7 +7,6 @@ from approxenum.errors import BudgetExceeded, NotLocal
 from approxenum.exact import (
     answer_set,
     closeness_check,
-    clause_sentence_verdicts,
     count_type,
     eval_hanf,
     eval_query,
@@ -154,10 +153,9 @@ def test_local_member_agrees(registry, rng):
     for _ in range(40):
         db = figures.random_bounded_db(20, 3, rng, tuple_target=24)
         cache = TypeCache(db, registry)
-        verdicts = clause_sentence_verdicts(cache, q)
         for _ in range(250):
             abar = (rng.randint(1, 20), rng.randint(1, 20))
-            assert local_member(cache, abar, q) == eval_query(cache, abar, q, verdicts)
+            assert local_member(cache, abar, q) == eval_query(cache, abar, q)
             trials += 1
     assert trials == 10_000
 

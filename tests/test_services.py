@@ -3,7 +3,11 @@ import itertools
 import pytest
 
 from approxenum import figures
-from approxenum.engine import enumerate_general_strengthened, enumerate_local_strengthened
+from approxenum.engine import (
+    enumerate_general_strengthened,
+    enumerate_local,
+    enumerate_local_strengthened,
+)
 from approxenum.errors import BudgetExceeded, ParameterError
 from approxenum.exact import answer_set, local_member
 from approxenum.query import QueryNF
@@ -13,14 +17,18 @@ from approxenum.services import (
     membership_answer,
     membership_preprocess,
 )
-from approxenum.testers import MarkerExclusionTester, frequency_sample_size
+from approxenum.testers import (
+    MarkerExclusionTester,
+    SamplingClauseTester,
+    frequency_sample_size,
+)
 from approxenum.typecache import TypeCache
 
 
 def test_membership_on_demo(registry):
     db = figures.fallback_family(m=2, a_copies=1)
     q = figures.demo_query(registry)
-    idx = membership_preprocess(db, q, epsilon=0.02, seed=5, registry=registry)
+    idx = membership_preprocess(db, q, epsilon=0.02, seed=5, cache=TypeCache(db, registry))
     # the tree pair in the last copy is an answer
     off = 16
     assert membership_answer(idx, (off + 1, off + 4))
@@ -28,7 +36,7 @@ def test_membership_on_demo(registry):
     assert not membership_answer(idx, (1, 4))
     # a both-triangles pair never carries a clause type
     db2 = figures.graph_db(8, figures.PAIR_C_EDGES)
-    idx2 = membership_preprocess(db2, q, epsilon=0.02, seed=5, registry=registry)
+    idx2 = membership_preprocess(db2, q, epsilon=0.02, seed=5, cache=TypeCache(db2, registry))
     assert not membership_answer(idx2, (1, 4))
 
 
@@ -36,7 +44,7 @@ def test_membership_agrees_with_local(registry, rng):
     q = figures.local_pair_a_query(registry)
     for _ in range(10):
         db = figures.random_bounded_db(24, 3, rng, tuple_target=26)
-        idx = membership_preprocess(db, q, epsilon=0.25, seed=3, registry=registry)
+        idx = membership_preprocess(db, q, epsilon=0.25, seed=3, cache=TypeCache(db, registry))
         cache = TypeCache(db, registry)
         for _ in range(50):
             abar = (rng.randint(1, 24), rng.randint(1, 24))
@@ -46,7 +54,7 @@ def test_membership_agrees_with_local(registry, rng):
 def test_membership_empty_query(registry):
     db = figures.isolated_db(6)
     q = QueryNF(k=2, radius=1, degree_bound=3, clauses=())
-    idx = membership_preprocess(db, q, epsilon=0.1, seed=1, registry=registry)
+    idx = membership_preprocess(db, q, epsilon=0.1, seed=1, cache=TypeCache(db, registry))
     assert not membership_answer(idx, (1, 2))
     assert idx.type_set.members == frozenset()
 
@@ -128,7 +136,7 @@ def test_approx_count_local(registry):
     trials = 15
     lam = 0.1
     for seed in range(trials):
-        est = approx_count(db, q, epsilon=0.1, lam=lam, seed=seed, registry=registry)
+        est = approx_count(db, q, epsilon=0.1, lam=lam, seed=seed, cache=TypeCache(db, registry))
         assert est.conn == 1
         if truth - est.half_width <= est.estimate <= truth + est.half_width:
             hits += 1
@@ -138,7 +146,7 @@ def test_approx_count_local(registry):
 def test_approx_count_empty_type_set(registry):
     db = figures.isolated_db(40)
     q = figures.local_pair_a_query(registry)
-    est = approx_count(db, q, epsilon=0.1, lam=0.1, seed=2, registry=registry)
+    est = approx_count(db, q, epsilon=0.1, lam=0.1, seed=2, cache=TypeCache(db, registry))
     assert est.estimate == 0.0
 
 
@@ -155,6 +163,16 @@ def test_entry_points_reject_out_of_range_parameters(registry):
         lambda: enumerate_general_strengthened(db, q, 0.1, 0.1, 1, emit=lambda t: None,
                                                cache=cache, expansion_cap=0),
         lambda: membership_preprocess(db, q, -1, 1, cache=cache),
+        lambda: enumerate_local_strengthened(db, figures.local_pair_a_query(registry), 0.1, 1,
+                                             emit=lambda t: None, cache=cache, max_outputs=-1),
+        lambda: estimate_frequencies(cache, radius=2, k=1, samples=0, seed=1),
+        lambda: SamplingClauseTester(q.clauses[1], 2).run(cache, 0, 1),
+        lambda: SamplingClauseTester(q.clauses[1], 2).run(cache, -1, 1),
+        lambda: SamplingClauseTester(q.clauses[1], 2).run(cache, 5, 1),
+        # a cache over another database would answer for that database
+        lambda: enumerate_local(db, figures.local_pair_a_query(registry), 0.1, 1,
+                                emit=lambda t: None,
+                                cache=TypeCache(figures.pair_a_copies(3), registry)),
     ]
     for call in calls:
         with pytest.raises(ParameterError):
