@@ -96,18 +96,19 @@ def cmd_enumerate(args) -> int:
     if q is None:
         raise ParseError("enumerate requires --query")
     mode = args.mode
+    emit = _emit_stream(sys.stdout)
     if mode == "exact":
-        answers = answer_set(db, q, registry)
-        for tup in answers.tuples:
-            print(" ".join(str(e) for e in tup))
-        print("-- end --")
-        print(f"outputs={len(answers.tuples)} mode=exact", file=sys.stderr)
+        answers = answer_set(db, q, registry).tuples
+        shown = answers if args.max_outputs is None else answers[:args.max_outputs]
+        for tup in shown:
+            emit(tup)
+        print("-- truncated --" if len(shown) < len(answers) else "-- end --")
+        print(f"outputs={len(shown)} mode=exact", file=sys.stderr)
         return 0
     if mode in ("local", "local-strengthened") and not is_local(q):
         print("error: local modes require a sentence-free query", file=sys.stderr)
         return 3
     seed = _resolve_seed(args)
-    emit = _emit_stream(sys.stdout)
     common = dict(cache=TypeCache(db, registry), max_outputs=args.max_outputs,
                   instrument=args.instrument)
     if mode == "local":
@@ -231,10 +232,6 @@ def cmd_split(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selfcheck
 
-    if args.scale <= 0:
-        print("warning: scale 0 requested; all suites vacuously pass", file=sys.stderr)
-        print("selftest: vacuous pass (no trials)")
-        return 0
     results = selfcheck.run_criteria(scale=args.scale, fault=args.inject_fault,
                                      only=args.only)
     failed = 0

@@ -5,9 +5,10 @@ incidence index mapping each element to the tuples containing it.  All reads
 used by the rest of the package go through that index, so any consumer only
 ever touches local parts of the database: the j-th tuple of relation R
 containing element i, the Gaifman neighbours of an element, balls of bounded
-radius.  Databases are immutable after construction and safe to share across
-threads; the only mutable field is a plain counter of index probes used by the
-delay instrumentation.
+radius.  The relations and indexes never change after construction; the one
+field that does is ``probes``, a plain counter of incidence reads used by the
+delay instrumentation.  A database shared between threads answers correctly,
+but its probe count mixes their reads.
 
 The domain is always [1, n].  An undirected graph is modelled as a binary
 relation flagged ``symmetric``: each edge is stored once as a sorted pair, the
@@ -108,7 +109,7 @@ def _normalize(rel: Relation, tup: Tuple_) -> Tuple_:
 
 
 class Database:
-    """Immutable bounded-degree database over a fixed schema.
+    """Bounded-degree database over a fixed schema; only ``probes`` changes.
 
     ``tuples[i]`` is the sorted tuple list of relation ``i``;
     ``incidence[i][a]`` lists, in the same order, the indices of the tuples of

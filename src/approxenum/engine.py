@@ -4,8 +4,10 @@ The core loop enumerates a subset of an index space ``V`` given a constant
 time membership check for the target set ``V1``: each round draws ``alpha``
 indices uniformly at random, advances a sequential cursor by ``batch``
 indices, filters the fresh ones through the membership check into a queue,
-and outputs one queued item; the run stops the first time there is nothing to
-output.  With
+pops one queued item and outputs its expansions; the run stops the first time
+the queue is empty.  An item's expansions are the item itself, except in the
+strengthened modes, where a leader tuple expands to the answers it leads (at
+least one, since membership is a non-empty expansion).  With
 
     q     = min((1 - mu*(1-mu))^2, (1-delta)^2 / 9)
     alpha = ceil(log_{1 - mu*(1-mu)} q)
@@ -14,15 +16,17 @@ output.  With
 the output is always a duplicate-free subset of ``V1``, and whenever
 ``|V1| >= mu * |V|`` it equals ``V1`` with probability at least ``delta``.
 Work between consecutive outputs is bounded by a constant in ``alpha``,
-``batch`` and the per-check cost.
+``batch``, the per-check cost and the expansion count.
 
-Two behaviour-preserving fast paths keep large runs tractable; both leave the
-emitted sequence bit-identical to the literal loop for a fixed seed:
+Three behaviour-preserving fast paths keep large runs tractable; all leave
+the emitted sequence bit-identical to the literal loop for a fixed seed:
 
 * rounds are processed in blocks of up to ``chunk`` whenever enough queued
   items guarantee no stop can occur inside the block (samples are drawn from
   a fixed-size buffered stream, so consumption order does not depend on the
   blocking);
+* in the plain modes, whose expansion is the identity, popped items are
+  emitted straight off the queue;
 * once every index has been touched, sampling is skipped while the queue
   drains (post-saturation samples are all duplicates and can never change
   the output).
@@ -65,7 +69,7 @@ from .errors import MissingTester, NotLocal, ParameterError, check_parameter
 from .query import QueryNF, compute_conn, is_local
 from .randutil import child_rng, child_seed
 from .splits import _position_filters, candidate_found_tuples
-from .testers import ClauseTester, TesterFactory, compute_type_set
+from .testers import ClauseTester, compute_type_set
 from .typecache import TypeCache, check_cache
 
 _NUMPY_SPACE_LIMIT = 1 << 62
@@ -281,7 +285,6 @@ class TypeMembership:
                          for s in _position_filters(cache.registry, type_ids, k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
         self.expansion_cap = 1
-        self.identity_expansion = True
 
     def check(self, tup: tuple[int, ...]) -> bool:
         return self.cache.tuple_type(tup, self.radius) in self.type_ids
@@ -422,7 +425,6 @@ class EnumSummary:
     end_delay_ops: int = 0
     max_oracle_per_output: int = 0
     max_inner_queue: int = 0
-    max_out_queue: int = 0
     delay_bound: int = 0
     preprocessing: dict = field(default_factory=dict)
 
@@ -452,19 +454,15 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
 
     dedup = _Dedup(space.size, fault_skip=_fault_skip_dedup)
     stream = _SampleStream(space.size, seed)
-    identity_expand = getattr(membership, "identity_expansion", False)
+    straight = isinstance(membership, TypeMembership) and not instrument
+    limit = math.inf if max_outputs is None else max_outputs
     inner: deque[tuple[int, ...]] = deque()
-    out: deque[tuple[int, ...]] = deque()
     cursor = 0
-    inner_stopped = False
     emitted = 0
     ops_since_emit = 0
     had_output = False
     probes0 = membership.cache.db.probes if hasattr(membership, "cache") else 0
     db = membership.cache.db if hasattr(membership, "cache") else None
-
-    if instrument:
-        chunk = 1
 
     def arrivals_for(cand: np.ndarray, mark: int) -> list[tuple[int, ...]]:
         fresh_mask = dedup.test_and_set_many(cand, mark)
@@ -478,109 +476,74 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
         return [tup for tup in decoded if tup is not None]
 
     while True:
-        if max_outputs is not None and emitted >= max_outputs:
+        if emitted >= limit:
             summary.truncated = True
             break
-        if not inner_stopped:
-            rounds = max(1, min(chunk, len(inner)))
+        # a block of rounds never outruns the queue, so only a one-round
+        # block can find it empty and stop
+        rounds = 1 if instrument else max(1, min(chunk, len(inner)))
+        take_cursor = min(batch * rounds, space.size - cursor)
+        # sampling may be skipped once every index has been seen: all draws
+        # would be duplicates and cannot affect the output; the instrumented
+        # mode keeps the literal loop
+        if instrument or not dedup.saturated:
+            samples = stream.draw(alpha * rounds)
+            summary.samples_drawn += alpha * rounds
+            # each round's alpha samples, then its batch cursor steps; when the
+            # cursor runs short, steps past the end of the space are dropped
+            # and the rounds after it keep only their samples
+            rows = -(-take_cursor // batch)
+            steps = np.arange(cursor + 1, cursor + batch * rows + 1, dtype=samples.dtype)
+            cand = np.concatenate((samples[:alpha * rows].reshape(rows, alpha),
+                                   steps.reshape(rows, batch)), axis=1).ravel()
+            if take_cursor < batch * rounds:
+                cand = np.concatenate((cand[cand <= space.size], samples[alpha * rows:]))
+            new_items = arrivals_for(cand, cursor + take_cursor)
+            inner.extend(new_items)
             if instrument:
-                rounds = 1
-            # sampling may be skipped once every index has been seen: all
-            # draws would be duplicates and cannot affect the output; the
-            # instrumented mode keeps the literal loop
-            take_cursor = min(batch * rounds, space.size - cursor)
-            if instrument or not dedup.saturated:
-                samples = stream.draw(alpha * rounds)
-                summary.samples_drawn += alpha * rounds
-                if take_cursor:
-                    cur = np.arange(cursor + 1, cursor + take_cursor + 1, dtype=samples.dtype)
-                    full = take_cursor == batch * rounds
-                    if full and rounds > 1:
-                        cand = np.concatenate(
-                            [samples.reshape(rounds, alpha), cur.reshape(rounds, batch)],
-                            axis=1).ravel()
-                    elif rounds == 1:
-                        cand = np.concatenate([samples, cur])
-                    else:
-                        parts = []
-                        for i in range(rounds):
-                            parts.append(samples[i * alpha:(i + 1) * alpha])
-                            parts.append(cur[i * batch:(i + 1) * batch])
-                        cand = np.concatenate(parts)
-                else:
-                    cand = samples
-                cursor += take_cursor
-                summary.cursor_consumed += take_cursor
-                new_items = arrivals_for(cand, cursor)
-                inner.extend(new_items)
-                if instrument:
-                    fresh_count = dedup.count  # updated inside arrivals_for
-                    ops_since_emit += alpha + take_cursor  # draws + cursor advances
-                    ops_since_emit += cand.size            # dedup reads
-                    # dedup writes + membership checks for fresh candidates:
-                    # counted via the change in the seen counter
-                    ops_since_emit += 2 * (fresh_count - summary.seen_count)
-                    ops_since_emit += len(new_items)       # queue pushes
-                    summary.seen_count = fresh_count
-            else:
-                cursor += take_cursor
-                summary.cursor_consumed += take_cursor
-            summary.rounds += rounds
-            summary.max_inner_queue = max(summary.max_inner_queue, len(inner))
-            if identity_expand and not instrument and rounds <= len(inner):
-                # expansion is the identity and out is empty at round borders:
-                # emitting straight off the inner queue preserves the order
-                for _ in range(rounds):
-                    emit(inner.popleft())
-                    emitted += 1
-                    if max_outputs is not None and emitted >= max_outputs:
-                        break
-                continue
-            for _ in range(rounds):
-                if inner:
-                    expanded = membership.expansions(inner.popleft())
-                    out.extend(expanded)
-                    if instrument:
-                        ops_since_emit += 1 + 2 * len(expanded)
-                else:
-                    inner_stopped = True
-                    break
-                summary.max_out_queue = max(summary.max_out_queue, len(out))
-                if out:
-                    emit(out.popleft())
-                    emitted += 1
-                    if instrument:
-                        ops_since_emit += 2
-                        _record_delay(summary, ops_since_emit, had_output)
-                        if db is not None:
-                            summary.max_oracle_per_output = max(
-                                summary.max_oracle_per_output, db.probes - probes0)
-                            probes0 = db.probes
-                        had_output = True
-                        ops_since_emit = 0
-                    if max_outputs is not None and emitted >= max_outputs:
-                        break
-                else:
-                    inner_stopped = True
-                    break
+                fresh_count = dedup.count  # updated inside arrivals_for
+                ops_since_emit += alpha + take_cursor  # draws + cursor advances
+                ops_since_emit += cand.size            # dedup reads
+                # dedup writes + membership checks for fresh candidates:
+                # counted via the change in the seen counter
+                ops_since_emit += 2 * (fresh_count - summary.seen_count)
+                ops_since_emit += len(new_items)       # queue pushes
+                summary.seen_count = fresh_count
+        cursor += take_cursor
+        summary.rounds += rounds
+        summary.max_inner_queue = max(summary.max_inner_queue, len(inner))
+        if not inner:
+            break
+        if straight:
+            # the expansion is the identity: emit the popped tuples themselves
+            take = min(rounds, limit - emitted)
+            for _ in range(take):
+                emit(inner.popleft())
+            emitted += take
             continue
-        # inner loop has stopped: drain the output queue
-        if out:
-            rounds = max(1, min(chunk, len(out)))
-            for _ in range(rounds):
-                emit(out.popleft())
+        for _ in range(rounds):
+            expanded = membership.expansions(inner.popleft())
+            if instrument:
+                ops_since_emit += 1 + 2 * len(expanded)
+            for tup in expanded:
+                emit(tup)
                 emitted += 1
                 if instrument:
                     ops_since_emit += 2
                     _record_delay(summary, ops_since_emit, had_output)
+                    if db is not None:
+                        summary.max_oracle_per_output = max(
+                            summary.max_oracle_per_output, db.probes - probes0)
+                        probes0 = db.probes
                     had_output = True
                     ops_since_emit = 0
-                if max_outputs is not None and emitted >= max_outputs:
+                if emitted >= limit:
                     break
-        else:
-            break
+            if emitted >= limit:
+                break
 
     summary.outputs = emitted
+    summary.cursor_consumed = cursor
     summary.seen_count = dedup.count
     if instrument:
         # delay covers the gap to the end-of-enumeration message as well
@@ -644,7 +607,7 @@ def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: i
 
 def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, seed: int,
                       emit: Callable[[tuple[int, ...]], None],
-                      cache: TypeCache, tester: str | TesterFactory = "exact",
+                      cache: TypeCache, tester: str = "exact",
                       **loop_kwargs) -> EnumSummary:
     """Approximate enumeration for general queries at threshold gamma*n^k.
 
@@ -664,7 +627,7 @@ def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, se
 
 def enumerate_general_strengthened(db: Database, q: QueryNF, gamma: float, epsilon: float,
                                    seed: int, emit: Callable[[tuple[int, ...]], None],
-                                   cache: TypeCache, tester: str | TesterFactory = "exact",
+                                   cache: TypeCache, tester: str = "exact",
                                    expansion_cap: int = 1,
                                    plugins: Optional[Sequence[ClauseTester]] = None,
                                    **loop_kwargs) -> EnumSummary:

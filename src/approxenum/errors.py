@@ -3,6 +3,7 @@ where the library and the CLI are entered."""
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 
@@ -51,6 +52,7 @@ PARAMETER_RANGES = {
     "r": (lambda v: v >= 0, "at least 0"),
     "max_outputs": (lambda v: v >= 0, "at least 0"),
     "samples": (lambda v: v >= 1, "at least 1"),
+    "scale": (lambda v: 0 < v < math.inf, "finite and greater than 0"),
 }
 
 

@@ -29,6 +29,7 @@ from .engine import (
     enumerate_local,
     enumerate_local_strengthened,
 )
+from .errors import ParameterError, check_parameter
 from .exact import answer_set, closeness_check
 from .neighborhoods import TypeRegistry
 from .query import Clause, QueryNF, SphereAtom
@@ -527,8 +528,13 @@ CRITERIA: dict[str, Callable[[Context], CriterionResult]] = {
 def run_criteria(scale: float = 1.0, fault: Optional[str] = None,
                  only: Optional[str] = None) -> list[CriterionResult]:
     """Run the chosen criteria, then C4, which audits the runs they recorded."""
-    ctx = Context(scale=scale, fault=fault)
+    check_parameter("scale", scale)
     wanted = None if only is None else {w.strip().upper() for w in only.split(",")}
+    unknown = sorted(wanted - set(CRITERIA)) if wanted is not None else []
+    if unknown:
+        raise ParameterError(f"unknown criteria {', '.join(map(repr, unknown))}; "
+                             f"choose from {', '.join(CRITERIA)}")
+    ctx = Context(scale=scale, fault=fault)
     results = []
     for name, runner in CRITERIA.items():
         if name == "C4" or (wanted is not None and name not in wanted):

@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, check_parameter
 from .query import QueryNF, compute_conn
 from .randutil import child_rng, child_seed
 from .splits import candidate_found_tuples
-from .testers import TesterFactory, TypeSetT, compute_type_set, frequency_sample_size
+from .testers import TypeSetT, compute_type_set, frequency_sample_size
 from .typecache import TypeCache, check_cache
 
 CENSUS_BUDGET = 2_000_000  # most k-tuples an exhaustive frequency census scans
@@ -47,7 +47,7 @@ class MembershipIndex:
 
 def membership_preprocess(db: Database, q: QueryNF, epsilon: float, seed: int,
                           cache: TypeCache,
-                          tester: str | TesterFactory = "exact") -> MembershipIndex:
+                          tester: str = "exact") -> MembershipIndex:
     check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
     return MembershipIndex(q, epsilon, seed, tset, cache)
@@ -108,7 +108,7 @@ class CountEstimate:
 
 def approx_count(db: Database, q: QueryNF, epsilon: float, lam: float, seed: int,
                  cache: TypeCache,
-                 tester: str | TesterFactory = "exact") -> CountEstimate:
+                 tester: str = "exact") -> CountEstimate:
     """Estimate the answer count; see the module docstring for the guarantee.
 
     The sample-size formula tracks the tested types plus one.

@@ -332,12 +332,12 @@ def make_tester_factory(kind: str, k: int) -> TesterFactory:
 
 
 def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
-                     tester: str | TesterFactory = "exact",
+                     tester: str = "exact",
                      plugins: Optional[Sequence[ClauseTester]] = None) -> TypeSetT:
     """Types of tuples that are plausibly answers, by running clause testers.
 
-    ``tester`` names a tester kind (see ``make_tester_factory``) or is a
-    factory; caller-supplied ``plugins``, one per clause, take its place.
+    ``tester`` names a tester kind (see ``make_tester_factory``);
+    caller-supplied ``plugins``, one per clause, take its place.
     Small instances (n below 8k/epsilon) are checked exactly.  Otherwise each
     clause's tester, amplified to per-clause confidence (5/6)^(1/m), runs at
     epsilon/2; the accepted clauses contribute their sphere types.  The goal,
@@ -348,7 +348,7 @@ def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
     m = len(q.clauses)
     if m == 0:
         return TypeSetT(frozenset(), (), exact=True)
-    factory = make_tester_factory(tester, q.k) if isinstance(tester, str) else tester
+    factory = make_tester_factory(tester, q.k)
     n = cache.db.n
     if plugins is not None and len(plugins) != m:
         raise MissingTester(f"{m} clauses but {len(plugins)} tester plugins")

@@ -50,6 +50,18 @@ def test_exact_enumerate(workdir):
     assert lines[:-1] == ["17 20"]
 
 
+@pytest.mark.parametrize("cap, lines", [
+    ("0", ["-- truncated --"]),
+    ("1", ["17 20", "-- end --"]),   # the one answer fits: nothing is cut
+], ids=["cap-0", "cap-1"])
+def test_exact_mode_max_outputs(workdir, cap, lines):
+    code, out, err = run_cli(["enumerate", "--mode", "exact", "--max-outputs", cap]
+                             + io_args(workdir))
+    assert code == 0
+    assert out.splitlines() == lines
+    assert err.strip() == f"outputs={len(lines) - 1} mode=exact"
+
+
 def test_enumerate_local_stream_deterministic(workdir):
     argv = ["enumerate", "--mode", "local", "--gamma", "0.01", "--seed", "7"] + io_args(workdir)
     code1, out1, err1 = run_cli(argv)
@@ -222,7 +234,23 @@ def test_seed_auto(workdir):
 
 def test_selftest_scale_zero():
     code, out, err = run_cli(["selftest", "--scale", "0"])
-    assert code == 0 and "vacuous" in out
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --scale must be finite and greater than 0, got 0.0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scale=nan"], "error: --scale "),
+    (["--scale=inf"], "error: --scale "),
+    (["--scale=-1"], "error: --scale "),
+    (["--scale", "0.02", "--only", "C55"], "error: unknown criteria 'C55'"),
+    (["--scale", "0.02", "--only", "C1,C55"], "error: unknown criteria 'C55'"),
+], ids=["scale-nan", "scale-inf", "scale-negative", "only-unknown", "only-partly-unknown"])
+def test_selftest_rejects_bad_options(argv, message):
+    # rejected before any criterion runs: no vacuous pass
+    code, out, err = run_cli(["selftest"] + argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
 
 
 def test_selftest_audits_duplicates_last():

@@ -19,6 +19,7 @@ from approxenum.engine import (
 )
 from approxenum.errors import MissingTester, NotLocal
 from approxenum.exact import answer_set
+from approxenum.query import Clause, QueryNF, SphereAtom
 from approxenum.testers import make_tester_factory
 from approxenum.typecache import TypeCache
 
@@ -48,6 +49,14 @@ class PredicateMembership:
 
     def expansions(self, tup):
         return [tup]
+
+
+def cherry_leaf_query(registry):
+    """Root/cherry-leaf pairs of PAIR_A: four answers per root, led by the root."""
+    shape = figures.graph_db(figures.SHAPE_SIZE, figures.PAIR_A_EDGES)
+    t = registry.type_of(shape, (1, 5), figures.SHAPE_RADIUS)
+    return QueryNF(k=2, radius=figures.SHAPE_RADIUS, degree_bound=3,
+                   clauses=(Clause(SphereAtom(t, figures.SHAPE_RADIUS), ()),))
 
 
 def test_lemma_constants_match_formulas():
@@ -305,6 +314,31 @@ def test_enumerate_hanf_plugins(registry):
                                 plugins=plugins[:1], cache=cache)
 
 
+@pytest.mark.parametrize("max_outputs, digest", [
+    (None, "542f98abd1c4170ccb7b4195ca05bf6dae0d7f6545c65c2dee77d42ca800fabf"),
+    (37, "68f0624d8a9e0c0302824ad4bcbee2b3004cf9312522b78a3e8674537228c28e"),
+], ids=["uncut", "cut-37"])
+def test_multi_expansion_stream_pinned(registry, max_outputs, digest):
+    # each root leads four answers, so one popped leader emits four tuples;
+    # every loop path gives the stream pinned from the earlier relay-queue loop
+    db = figures.pair_a_copies(50)
+    q = cherry_leaf_query(registry)
+    cache = TypeCache(db, registry)
+    for kwargs in ({}, {"chunk": 1}, {"chunk": 3}, {"instrument": True}):
+        h = hashlib.sha256()
+        summary = enumerate_local_strengthened(
+            db, q, 0.05, 3, lambda t: h.update(f"{t[0]} {t[1]}\n".encode()), cache=cache,
+            expansion_cap=4, max_outputs=max_outputs, **kwargs)
+        assert h.hexdigest() == digest, kwargs
+        if max_outputs is not None:
+            assert summary.outputs == max_outputs and summary.truncated
+        elif not kwargs:
+            # counters of the plain uncut run only: a cut needs fewer rounds,
+            # and instrumented runs keep sampling once every index is seen
+            assert (summary.outputs, summary.rounds, summary.samples_drawn,
+                    summary.seen_count) == (200, 51, 437, 400)
+
+
 def test_local_mode_paths_agree(registry):
     # identity fast path (batched), relay path (chunk=1) and the instrumented
     # literal loop must emit identical sequences
@@ -369,22 +403,21 @@ def test_delay_bound_formula():
 
 
 def test_auxiliary_memory_stays_bounded(registry):
-    # beyond the dedup record and queues, per-round state is constant: the
-    # relay queue never holds more than one round's expansions, and the inner
-    # queue grows by at most alpha+batch per round
+    # beyond the dedup record, the one queue holds admitted leaders: it grows
+    # by at most alpha+batch per round, and never with the expansions
     rng = random.Random(8)
     db = figures.planted_isolated_db(120, 60, rng)
     q = figures.isolated_pair_query(registry)
     cache = TypeCache(db, registry)
     got = []
     summary = enumerate_local(db, q, 0.2, 3, got.append, cache=cache, instrument=True)
-    assert summary.max_out_queue <= 1
     assert summary.max_inner_queue <= summary.rounds * (summary.alpha + summary.batch)
-    # strengthened mode: the relay holds at most one expansion batch
-    q2 = figures.local_pair_a_query(registry)
-    db2 = figures.pair_a_copies(10)
-    cache2 = TypeCache(db2, registry)
+    # four answers per leader: the queue holds at most the 400 roots while
+    # 1600 answers flow
+    db2 = figures.pair_a_copies(400)
     got2 = []
-    summary2 = enumerate_local_strengthened(db2, q2, 0.1, 3, got2.append,
-                                            cache=cache2, instrument=True)
-    assert summary2.max_out_queue <= summary2.expansion_cap
+    summary2 = enumerate_local_strengthened(db2, cherry_leaf_query(registry), 0.05, 3,
+                                            got2.append, cache=TypeCache(db2, registry),
+                                            expansion_cap=4)
+    assert summary2.outputs == 1600
+    assert summary2.max_inner_queue <= 400

@@ -212,10 +212,9 @@ def test_compute_type_set_statistical(registry):
     db = figures.fallback_family(m=80, a_copies=0)
     q = figures.demo_query(registry)
     cache = TypeCache(db, registry)
-    factory = make_tester_factory("sampling", q.k)
     wins = 0
     for seed in range(30):
-        tset = compute_type_set(cache, q, epsilon=0.05, seed=seed, tester=factory)
+        tset = compute_type_set(cache, q, epsilon=0.05, seed=seed, tester="sampling")
         if q.clauses[1].sphere.type.type_id in tset.members:
             wins += 1
     assert wins / 30 >= 5 / 6
