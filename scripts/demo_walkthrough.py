@@ -15,10 +15,7 @@ from pathlib import Path
 
 from approxenum import figures
 from approxenum.db import serialize_database
-from approxenum.engine import (
-    enumerate_general_strengthened,
-    enumerate_local_strengthened,
-)
+from approxenum.engine import enumerate_query
 from approxenum.exact import answer_set, closeness_check
 from approxenum.neighborhoods import TypeRegistry
 from approxenum.query import print_query
@@ -51,14 +48,13 @@ def main() -> int:
     print("  (the tree-copy pair; triangle pairs are blocked by the marker vertex)")
 
     got = []
-    enumerate_local_strengthened(db, figures.local_pair_a_query(registry), gamma=0.02,
-                                 seed=args.seed, emit=got.append, cache=cache)
+    enumerate_query(db, figures.local_pair_a_query(registry), "local-strengthened", 0.02,
+                    args.seed, got.append, cache)
     print(f"local enumeration of tree pairs (strengthened threshold): {sorted(got)}")
 
     got = []
-    summary = enumerate_general_strengthened(db, q, gamma=0.05, epsilon=0.02,
-                                             seed=args.seed, emit=got.append,
-                                             cache=cache, tester="exact")
+    summary = enumerate_query(db, q, "general-strengthened", 0.05, args.seed, got.append,
+                              cache, epsilon=0.02, tester="exact")
     print(f"general (strengthened) enumeration: {sorted(got)}  "
           f"[alpha={summary.alpha}, batch={summary.batch}]")
 

@@ -45,6 +45,7 @@ from .testers import (
     MarkerExclusionTester,
     SamplingClauseTester,
     TesterVerdict,
+    TESTER_KINDS,
     TypeSetT,
     amplify,
     compute_type_set,
@@ -59,6 +60,7 @@ from .engine import (
     enumerate_hanf_testable,
     enumerate_local,
     enumerate_local_strengthened,
+    enumerate_query,
     lemma_constants,
     partitioned_enumerate,
 )

@@ -20,13 +20,7 @@ import secrets
 import sys
 
 from .db import Database, Schema, load_database
-from .engine import (
-    enumerate_general,
-    enumerate_general_strengthened,
-    enumerate_hanf_testable,
-    enumerate_local,
-    enumerate_local_strengthened,
-)
+from .engine import enumerate_query
 from .errors import (
     PARAMETER_RANGES,
     ApproxEnumError,
@@ -39,7 +33,7 @@ from .exact import answer_set, local_member
 from .neighborhoods import TypeRegistry
 from .query import QueryNF, is_local, parse_query
 from .services import approx_count, membership_answer, membership_preprocess
-from .testers import compute_type_set, example_tester, make_tester_factory
+from .testers import TESTER_KINDS, compute_type_set, example_tester, make_tester_factory
 from .typecache import TypeCache, group_positions
 
 
@@ -95,9 +89,8 @@ def cmd_enumerate(args) -> int:
     schema, db, q = _load_inputs(args, registry)
     if q is None:
         raise ParseError("enumerate requires --query")
-    mode = args.mode
     emit = _emit_stream(sys.stdout)
-    if mode == "exact":
+    if args.mode == "exact":
         answers = answer_set(db, q, registry).tuples
         shown = answers if args.max_outputs is None else answers[:args.max_outputs]
         for tup in shown:
@@ -105,32 +98,15 @@ def cmd_enumerate(args) -> int:
         print("-- truncated --" if len(shown) < len(answers) else "-- end --")
         print(f"outputs={len(shown)} mode=exact", file=sys.stderr)
         return 0
-    if mode in ("local", "local-strengthened") and not is_local(q):
-        print("error: local modes require a sentence-free query", file=sys.stderr)
-        return 3
     seed = _resolve_seed(args)
-    common = dict(cache=TypeCache(db, registry), max_outputs=args.max_outputs,
-                  instrument=args.instrument)
-    if mode == "local":
-        summary = enumerate_local(db, q, args.gamma, seed, emit, **common)
-    elif mode == "local-strengthened":
-        summary = enumerate_local_strengthened(
-            db, q, args.gamma, seed, emit, expansion_cap=args.expansion_cap, **common)
-    elif mode == "general":
-        summary = enumerate_general(db, q, args.gamma, args.epsilon, seed, emit,
-                                    tester=args.tester, **common)
-    elif mode == "general-strengthened":
-        summary = enumerate_general_strengthened(
-            db, q, args.gamma, args.epsilon, seed, emit,
-            tester=args.tester, expansion_cap=args.expansion_cap, **common)
-    elif mode == "hanf":
+    mode, plugins = args.mode, None
+    if mode == "hanf":  # hanf-testable, with testers of the --tester kind as plugins
         factory = make_tester_factory(args.tester, q.k)
-        plugins = [factory(c, len(q.clauses)) for c in q.clauses]
-        summary = enumerate_hanf_testable(
-            db, q, args.gamma, args.epsilon, seed, emit, plugins=plugins,
-            expansion_cap=args.expansion_cap, **common)
-    else:
-        raise ParseError(f"unknown mode {mode!r}")
+        mode, plugins = "hanf-testable", [factory(c, len(q.clauses)) for c in q.clauses]
+    summary = enumerate_query(db, q, mode, args.gamma, seed, emit, TypeCache(db, registry),
+                              epsilon=args.epsilon, tester=args.tester, plugins=plugins,
+                              expansion_cap=args.expansion_cap, max_outputs=args.max_outputs,
+                              instrument=args.instrument)
     print("-- truncated --" if summary.truncated else "-- end --")
     report = {
         "mode": summary.mode, "outputs": summary.outputs, "n": summary.n,
@@ -261,17 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1, help="closeness parameter")
     p.add_argument("--seed", default=None)
     p.add_argument("--max-outputs", type=int, default=None)
-    p.add_argument("--tester", default="exact", choices=["exact", "sampling", "example22"])
+    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
     p.add_argument("--expansion-cap", type=int, default=1,
                    help="bound on found tuples per leader tuple (strengthened modes)")
     p.add_argument("--instrument", action="store_true", help="count per-output operations")
     p.set_defaults(func=cmd_enumerate, needs_seed=lambda a: a.mode != "exact")
-
-    p = sub.add_parser("exact-enumerate", help="brute-force reference enumeration")
-    add_io(p)
-    p.set_defaults(func=cmd_enumerate, mode="exact", needs_seed=lambda a: False,
-                   gamma=0.1, epsilon=0.1, seed="0", max_outputs=None,
-                   tester="exact", expansion_cap=1, instrument=False)
 
     p = sub.add_parser("member", help="approximate membership for one tuple")
     add_io(p)
@@ -279,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--seed", default=None)
     p.add_argument("--exact", action="store_true", help="use the exact oracle")
-    p.add_argument("--tester", default="exact", choices=["exact", "sampling", "example22"])
+    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
     p.set_defaults(func=cmd_member, needs_seed=lambda a: not a.exact)
 
     p = sub.add_parser("count", help="approximate answer count")
@@ -287,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--seed", default=None)
-    p.add_argument("--tester", default="exact", choices=["exact", "sampling", "example22"])
+    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
     p.set_defaults(func=cmd_count, needs_seed=lambda a: True)
 
     p = sub.add_parser("test", help="run property testers")
     add_io(p, query_required=False)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--seed", default=None)
-    p.add_argument("--tester", default="exact", choices=["exact", "sampling", "example22"])
+    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
     p.set_defaults(func=cmd_test, needs_seed=lambda a: True)
 
     p = sub.add_parser("split", help="print the coordinate groups of a tuple and their leaders")

@@ -36,19 +36,21 @@ loop and record elementary operations per output: samples drawn, cursor
 advances, dedup reads/writes, membership checks, queue traffic and
 emissions, with incidence probes tallied separately.
 
-The four query-enumeration modes wire the loop to query semantics:
+``enumerate_query`` wires the loop to query semantics.  Its plan table,
+``_PLANS``, gives each of the five modes its index space, membership, delta
+and the source of its type set:
 
 =========================  =========================  ======================
 mode                       index space                membership
 =========================  =========================  ======================
 local                      all k-tuples               tuple type in the
                                                       query's sphere types
-local strengthened         leader tuples of arity     non-empty expansion
+local-strengthened         leader tuples of arity     non-empty expansion
                            up to conn(q)              through the split table
 general                    all k-tuples               tuple type in the
                                                       tested relevant set
-general strengthened /     leader tuples of arity     non-empty expansion
-pluggable testers          up to conn(q)              against the tested set
+general-strengthened /     leader tuples of arity     non-empty expansion
+hanf-testable (plugins)    up to conn(q)              against the tested set
 =========================  =========================  ======================
 
 Local modes emit only true answers.  General modes emit, with probability at
@@ -559,96 +561,109 @@ def _record_delay(summary: EnumSummary, ops: int, had_output: bool) -> None:
     summary.max_delay_ops = max(summary.max_delay_ops, ops)
 
 
-# -- query enumeration modes -----------------------------------------------------
+# -- query enumeration ------------------------------------------------------------
+
+# mode: (strengthened, type-set source, delta).  Strengthened modes sample
+# leader tuples of arity up to conn(q) and admit those with a non-empty split
+# expansion; the others sample all k-tuples and admit those whose type is in
+# the set.  The set is the query's own sphere types ("sphere"), or the clause
+# types accepted by testers of the named kind ("tester") or by caller-supplied
+# testers ("plugins").
+_PLANS = {
+    "local": (False, "sphere", 2.0 / 3.0),
+    "local-strengthened": (True, "sphere", 4.0 / 5.0),
+    "general": (False, "tester", 5.0 / 6.0),
+    "general-strengthened": (True, "tester", 4.0 / 5.0),
+    "hanf-testable": (True, "plugins", 4.0 / 5.0),
+}
+
+
+def enumerate_query(db: Database, q: QueryNF, mode: str, gamma: float, seed: int,
+                    emit: Callable[[tuple[int, ...]], None], cache: TypeCache, *,
+                    epsilon: Optional[float] = None, tester: str = "exact",
+                    plugins: Optional[Sequence[ClauseTester]] = None,
+                    expansion_cap: int = 1, **loop_kwargs) -> EnumSummary:
+    """Enumerate the answers of ``q`` in ``mode`` (a key of ``_PLANS``).
+
+    The tested modes need ``epsilon``, and ``hanf-testable`` needs one plugin
+    tester per clause.  ``expansion_cap`` must upper-bound the answers one
+    leader tuple leads for the strengthened modes' threshold to hold; it
+    divides their mu.  ``loop_kwargs`` go to ``partitioned_enumerate``.
+    """
+    if mode not in _PLANS:
+        raise ParameterError(f"unknown mode {mode!r}; choose from {', '.join(_PLANS)}")
+    strengthened, source, delta = _PLANS[mode]
+    if source == "sphere" and not is_local(q):
+        raise NotLocal("local modes require a sentence-free query")
+    if source == "plugins" and plugins is None:
+        raise MissingTester(f"mode {mode!r} needs one tester per clause ({len(q.clauses)})")
+    if source != "plugins" and plugins is not None:
+        raise ParameterError(f"plugins apply to mode 'hanf-testable' only, not {mode!r}")
+    if source != "sphere" and epsilon is None:
+        raise ParameterError(f"mode {mode!r} needs epsilon")
+    check_parameter("gamma", gamma)
+    check_parameter("expansion_cap", expansion_cap)
+    check_cache(db, cache)
+    if source == "sphere":
+        type_ids = q.sphere_type_ids()
+    else:
+        tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"),
+                                tester=tester, plugins=plugins)
+        type_ids = tset.members
+    if strengthened:
+        c = compute_conn(q)
+        space = IndexSpace.union_up_to(db.n, c)
+        membership = SplitMembership(cache, type_ids, q.k, q.radius,
+                                     conn=c, expansion_cap=expansion_cap)
+        mu = gamma / (c * expansion_cap)
+    else:
+        space = IndexSpace.power(db.n, q.k)
+        membership = TypeMembership(cache, type_ids, q.k, q.radius)
+        mu = gamma
+    summary = partitioned_enumerate(space, membership, mu=mu, delta=delta, seed=seed,
+                                    emit=emit, mode=mode, **loop_kwargs)
+    if strengthened:
+        summary.conn = c
+        summary.expansion_cap = expansion_cap
+    if source != "sphere":
+        summary.preprocessing = {"type_set": sorted(tset.members), "exact_branch": tset.exact}
+    return summary
 
 
 def enumerate_local(db: Database, q: QueryNF, gamma: float, seed: int,
                     emit: Callable[[tuple[int, ...]], None],
                     cache: TypeCache, **loop_kwargs) -> EnumSummary:
-    """Sound and, above the gamma*n^k answer threshold, 2/3-complete enumeration."""
-    if not is_local(q):
-        raise NotLocal("local enumeration requires a sentence-free query")
-    check_parameter("gamma", gamma)
-    check_cache(db, cache)
-    space = IndexSpace.power(db.n, q.k)
-    membership = TypeMembership(cache, q.sphere_type_ids(), q.k, q.radius)
-    return partitioned_enumerate(space, membership, mu=gamma, delta=2.0 / 3.0,
-                                 seed=seed, emit=emit, mode="local", **loop_kwargs)
+    """Alias of mode ``local``; goes when the benchmark calls enumerate_query."""
+    return enumerate_query(db, q, "local", gamma, seed, emit, cache, **loop_kwargs)
 
 
 def enumerate_local_strengthened(db: Database, q: QueryNF, gamma: float, seed: int,
                                  emit: Callable[[tuple[int, ...]], None],
                                  cache: TypeCache, expansion_cap: int = 1,
                                  **loop_kwargs) -> EnumSummary:
-    """Local enumeration with the threshold reduced to gamma*n^conn.
-
-    ``expansion_cap`` stands in for the worst-case number of target tuples a
-    single leader tuple can expand to on this database; it rescales mu and
-    must upper-bound the true expansion count for the threshold guarantee to
-    carry over.
-    """
-    if not is_local(q):
-        raise NotLocal("local enumeration requires a sentence-free query")
-    check_parameter("gamma", gamma)
-    check_parameter("expansion_cap", expansion_cap)
-    check_cache(db, cache)
-    c = compute_conn(q)
-    space = IndexSpace.union_up_to(db.n, c)
-    membership = SplitMembership(cache, q.sphere_type_ids(), q.k, q.radius,
-                                 conn=c, expansion_cap=expansion_cap)
-    mu = gamma / (c * expansion_cap)
-    summary = partitioned_enumerate(space, membership, mu=mu, delta=4.0 / 5.0,
-                                    seed=seed, emit=emit, mode="local-strengthened",
-                                    **loop_kwargs)
-    summary.conn = c
-    summary.expansion_cap = expansion_cap
-    return summary
+    """Alias of mode ``local-strengthened``; goes when the benchmark calls enumerate_query."""
+    return enumerate_query(db, q, "local-strengthened", gamma, seed, emit, cache,
+                           expansion_cap=expansion_cap, **loop_kwargs)
 
 
 def enumerate_general(db: Database, q: QueryNF, gamma: float, epsilon: float, seed: int,
                       emit: Callable[[tuple[int, ...]], None],
                       cache: TypeCache, tester: str = "exact",
                       **loop_kwargs) -> EnumSummary:
-    """Approximate enumeration for general queries at threshold gamma*n^k.
-
-    Preprocessing computes the tested relevant-type set; the loop then runs
-    with membership "tuple type is in the set".
-    """
-    check_parameter("gamma", gamma)
-    check_cache(db, cache)
-    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
-    space = IndexSpace.power(db.n, q.k)
-    membership = TypeMembership(cache, tset.members, q.k, q.radius)
-    summary = partitioned_enumerate(space, membership, mu=gamma, delta=5.0 / 6.0,
-                                    seed=seed, emit=emit, mode="general", **loop_kwargs)
-    summary.preprocessing = {"type_set": sorted(tset.members), "exact_branch": tset.exact}
-    return summary
+    """Alias of mode ``general``; goes when the benchmark calls enumerate_query."""
+    return enumerate_query(db, q, "general", gamma, seed, emit, cache, epsilon=epsilon,
+                           tester=tester, **loop_kwargs)
 
 
 def enumerate_general_strengthened(db: Database, q: QueryNF, gamma: float, epsilon: float,
                                    seed: int, emit: Callable[[tuple[int, ...]], None],
                                    cache: TypeCache, tester: str = "exact",
                                    expansion_cap: int = 1,
-                                   plugins: Optional[Sequence[ClauseTester]] = None,
                                    **loop_kwargs) -> EnumSummary:
-    """General-query enumeration at the reduced threshold gamma*n^conn."""
-    check_parameter("gamma", gamma)
-    check_parameter("expansion_cap", expansion_cap)
-    check_cache(db, cache)
-    tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"),
-                            tester=tester, plugins=plugins)
-    c = compute_conn(q)
-    space = IndexSpace.union_up_to(db.n, c)
-    membership = SplitMembership(cache, tset.members, q.k, q.radius,
-                                 conn=c, expansion_cap=expansion_cap)
-    mu = gamma / (c * expansion_cap)
-    summary = partitioned_enumerate(space, membership, mu=mu, delta=4.0 / 5.0,
-                                    seed=seed, emit=emit, mode="general-strengthened",
-                                    **loop_kwargs)
-    summary.conn = c
-    summary.expansion_cap = expansion_cap
-    summary.preprocessing = {"type_set": sorted(tset.members), "exact_branch": tset.exact}
-    return summary
+    """Alias of mode ``general-strengthened``; goes when the benchmark calls enumerate_query."""
+    return enumerate_query(db, q, "general-strengthened", gamma, seed, emit, cache,
+                           epsilon=epsilon, tester=tester, expansion_cap=expansion_cap,
+                           **loop_kwargs)
 
 
 def enumerate_hanf_testable(db: Database, q: QueryNF, gamma: float, epsilon: float,
@@ -656,14 +671,6 @@ def enumerate_hanf_testable(db: Database, q: QueryNF, gamma: float, epsilon: flo
                             plugins: Sequence[ClauseTester], cache: TypeCache,
                             expansion_cap: int = 1,
                             **loop_kwargs) -> EnumSummary:
-    """Strengthened general enumeration with caller-supplied clause testers."""
-    if plugins is None or len(plugins) != len(q.clauses):
-        raise MissingTester(
-            f"need one tester per clause ({len(q.clauses)}), got "
-            f"{0 if plugins is None else len(plugins)}"
-        )
-    summary = enumerate_general_strengthened(
-        db, q, gamma, epsilon, seed, emit, cache=cache,
-        expansion_cap=expansion_cap, plugins=plugins, **loop_kwargs)
-    summary.mode = "hanf-testable"
-    return summary
+    """Alias of mode ``hanf-testable``; goes when the benchmark calls enumerate_query."""
+    return enumerate_query(db, q, "hanf-testable", gamma, seed, emit, cache, epsilon=epsilon,
+                           plugins=plugins, expansion_cap=expansion_cap, **loop_kwargs)

@@ -23,12 +23,7 @@ from typing import Callable, Optional
 
 from . import figures
 from .db import Database
-from .engine import (
-    enumerate_general,
-    enumerate_general_strengthened,
-    enumerate_local,
-    enumerate_local_strengthened,
-)
+from .engine import enumerate_query
 from .errors import ParameterError, check_parameter
 from .exact import answer_set, closeness_check
 from .neighborhoods import TypeRegistry
@@ -120,8 +115,8 @@ def criterion_local_soundness(ctx: Context) -> CriterionResult:
             else:
                 q = iso_pair
         got: list = []
-        enumerate_local(db, q, gamma=0.2, seed=run, emit=got.append,
-                        cache=cache, max_outputs=60, **_fault_kwargs(ctx))
+        enumerate_query(db, q, "local", 0.2, run, got.append, cache, max_outputs=60,
+                        **_fault_kwargs(ctx))
         ctx.note_run(got)
         emissions += len(got)
         ids = q.sphere_type_ids()
@@ -161,8 +156,8 @@ def criterion_local_completeness(ctx: Context) -> CriterionResult:
         wins = 0
         for seed in range(trials):
             got: list = []
-            enumerate_local(db, q, gamma=gamma, seed=seed, emit=got.append,
-                            cache=cache, **_fault_kwargs(ctx))
+            enumerate_query(db, q, "local", gamma, seed, got.append, cache,
+                            **_fault_kwargs(ctx))
             ctx.note_run(got)
             got_set = set(got)
             assert got_set <= exact, "soundness violated inside completeness runs"
@@ -194,9 +189,8 @@ def criterion_strengthened_threshold(ctx: Context) -> CriterionResult:
     wins = 0
     for seed in range(trials):
         got: list = []
-        summary = enumerate_local_strengthened(db, q, gamma=gamma, seed=seed,
-                                               emit=got.append, cache=cache,
-                                               **_fault_kwargs(ctx))
+        summary = enumerate_query(db, q, "local-strengthened", gamma, seed, got.append,
+                                  cache, **_fault_kwargs(ctx))
         ctx.note_run(got)
         assert summary.conn == 1
         got_set = set(got)
@@ -230,23 +224,15 @@ def criterion_constant_delay(ctx: Context) -> CriterionResult:
     cap = max(200, int(1200 * min(1.0, ctx.scale)))
     parts = []
     ok = True
-    for mode in ("local", "general"):
+    for mode, q in (("local", figures.isolated_pair_query(registry, radius=2)),
+                    ("general", figures.general_iso_query(registry))):
         maxima = []
         for n in sizes:
             db = figures.isolated_db(n)
-            cache = TypeCache(db, registry)
             sink: list = []
-            if mode == "local":
-                q = figures.isolated_pair_query(registry, radius=2)
-                summary = enumerate_local(db, q, gamma=0.3, seed=41, emit=sink.append,
-                                          cache=cache, instrument=True,
-                                          max_outputs=cap)
-            else:
-                q = figures.general_iso_query(registry)
-                summary = enumerate_general(db, q, gamma=0.3, epsilon=0.3, seed=41,
-                                            emit=sink.append, cache=cache,
-                                            tester="sampling", instrument=True,
-                                            max_outputs=cap)
+            summary = enumerate_query(db, q, mode, 0.3, 41, sink.append, TypeCache(db, registry),
+                                      epsilon=0.3, tester="sampling", instrument=True,
+                                      max_outputs=cap)
             ctx.note_run(sink)
             maxima.append((n, summary.max_delay_ops, summary.delay_bound,
                            summary.max_oracle_per_output))
@@ -418,28 +404,21 @@ def criterion_general_soundness(ctx: Context) -> CriterionResult:
             closeness_memo[key] = closeness_check(db, tup, q, eps, registry)
         return closeness_memo[key]
 
+    plugins = [SamplingClauseTester(c, q.k, force_sample=True, sample_cap=400)
+               for c in q.clauses]
+    # (mode, tester kind, plugins), by seed % 3
+    styles = (("general", "exact", None), ("hanf-testable", "exact", plugins),
+              ("general-strengthened", "sampling", None))
     trials = ctx.trials(300, floor=30)
     wins = 0
     for seed in range(trials):
         inst_idx = seed % len(instances)
         name, db, eps = instances[inst_idx]
-        cache = TypeCache(db, registry)
+        mode, tester, style_plugins = styles[seed % 3]
         got: list = []
-        style = seed % 3
-        if style == 0:
-            enumerate_general(db, q, gamma=0.02, epsilon=eps, seed=seed,
-                              emit=got.append, cache=cache, tester="exact",
-                              **_fault_kwargs(ctx))
-        elif style == 1:
-            plugins = [SamplingClauseTester(c, q.k, force_sample=True, sample_cap=400)
-                       for c in q.clauses]
-            enumerate_general_strengthened(db, q, gamma=0.02, epsilon=eps, seed=seed,
-                                           emit=got.append, cache=cache,
-                                           plugins=plugins, **_fault_kwargs(ctx))
-        else:
-            enumerate_general_strengthened(db, q, gamma=0.02, epsilon=eps, seed=seed,
-                                           emit=got.append, cache=cache,
-                                           tester="sampling", **_fault_kwargs(ctx))
+        enumerate_query(db, q, mode, 0.02, seed, got.append, TypeCache(db, registry),
+                        epsilon=eps, tester=tester, plugins=style_plugins,
+                        **_fault_kwargs(ctx))
         ctx.note_run(got)
         wins += all(is_ok(inst_idx, db, eps, tuple(t)) for t in got)
     # the closeness margin is not vacuous: on instance B a triangle pair is
@@ -525,20 +504,28 @@ CRITERIA: dict[str, Callable[[Context], CriterionResult]] = {
 }
 
 
+# the criteria that record enumeration runs for C4 to audit
+AUDITED_BY_C4 = ("C1", "C2", "C3", "C5", "C9")
+
+
 def run_criteria(scale: float = 1.0, fault: Optional[str] = None,
                  only: Optional[str] = None) -> list[CriterionResult]:
-    """Run the chosen criteria, then C4, which audits the runs they recorded."""
+    """Run the chosen criteria, then C4 if they recorded runs for it to audit."""
     check_parameter("scale", scale)
     wanted = None if only is None else {w.strip().upper() for w in only.split(",")}
     unknown = sorted(wanted - set(CRITERIA)) if wanted is not None else []
     if unknown:
         raise ParameterError(f"unknown criteria {', '.join(map(repr, unknown))}; "
                              f"choose from {', '.join(CRITERIA)}")
+    if wanted is not None and "C4" in wanted and not wanted.intersection(AUDITED_BY_C4):
+        raise ParameterError(f"C4 audits the runs of {', '.join(AUDITED_BY_C4)}; "
+                             f"name one of them with it")
     ctx = Context(scale=scale, fault=fault)
     results = []
     for name, runner in CRITERIA.items():
         if name == "C4" or (wanted is not None and name not in wanted):
             continue
         results.append(runner(ctx))
-    results.append(criterion_no_duplicates(ctx))
+    if ctx.runs_checked:
+        results.append(criterion_no_duplicates(ctx))
     return results

@@ -311,22 +311,22 @@ class TypeSetT:
 
 
 TesterFactory = Callable[[Clause, int], ClauseTester]
+TESTER_KINDS = ("exact", "sampling", "example22")
 
 
 def make_tester_factory(kind: str, k: int) -> TesterFactory:
+    if kind not in TESTER_KINDS:
+        raise MissingTester(f"unknown tester kind {kind!r}")
+
     def factory(clause: Clause, _m: int) -> ClauseTester:
         if kind == "exact":
             return ExactClauseTester(clause, k)
-        if kind == "sampling":
+        if kind == "sampling" or not clause.sentences:
             return SamplingClauseTester(clause, k)
-        if kind == "example22":
-            if not clause.sentences:
-                return SamplingClauseTester(clause, k)
-            try:
-                return MarkerExclusionTester(clause, k)
-            except SchemaMismatch as exc:
-                raise MissingTester(f"no constant-time tester for clause shape: {exc}") from exc
-        raise MissingTester(f"unknown tester kind {kind!r}")
+        try:
+            return MarkerExclusionTester(clause, k)
+        except SchemaMismatch as exc:
+            raise MissingTester(f"no constant-time tester for clause shape: {exc}") from exc
 
     return factory
 
@@ -336,8 +336,9 @@ def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
                      plugins: Optional[Sequence[ClauseTester]] = None) -> TypeSetT:
     """Types of tuples that are plausibly answers, by running clause testers.
 
-    ``tester`` names a tester kind (see ``make_tester_factory``);
-    caller-supplied ``plugins``, one per clause, take its place.
+    ``tester`` names a tester kind, one of ``TESTER_KINDS``; it is checked
+    even where the exact check below leaves it unused.  Caller-supplied
+    ``plugins``, one per clause, take its place.
     Small instances (n below 8k/epsilon) are checked exactly.  Otherwise each
     clause's tester, amplified to per-clause confidence (5/6)^(1/m), runs at
     epsilon/2; the accepted clauses contribute their sphere types.  The goal,
@@ -345,13 +346,13 @@ def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
     the set, and tuples too far from being answers do not.
     """
     check_parameter("epsilon", epsilon)
-    m = len(q.clauses)
-    if m == 0:
-        return TypeSetT(frozenset(), (), exact=True)
     factory = make_tester_factory(tester, q.k)
-    n = cache.db.n
+    m = len(q.clauses)
     if plugins is not None and len(plugins) != m:
         raise MissingTester(f"{m} clauses but {len(plugins)} tester plugins")
+    if m == 0:
+        return TypeSetT(frozenset(), (), exact=True)
+    n = cache.db.n
     if n < 8 * q.k / epsilon and plugins is None:
         members = set()
         details = []

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from approxenum.cli import main
 from approxenum.db import serialize_database
 from approxenum.neighborhoods import TypeRegistry
 from approxenum.query import print_query
+from approxenum.testers import TESTER_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -41,22 +43,14 @@ def io_args(workdir, query="local.query"):
             "--d", "3", "--query", str(workdir / query)]
 
 
-def test_exact_enumerate(workdir):
-    code, out, err = run_cli(["exact-enumerate"] + io_args(workdir))
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "-- end --"
-    # the tree copy sits in the third block
-    assert lines[:-1] == ["17 20"]
-
-
 @pytest.mark.parametrize("cap, lines", [
+    (None, ["17 20", "-- end --"]),  # the tree copy sits in the third block
     ("0", ["-- truncated --"]),
     ("1", ["17 20", "-- end --"]),   # the one answer fits: nothing is cut
-], ids=["cap-0", "cap-1"])
+], ids=["uncapped", "cap-0", "cap-1"])
 def test_exact_mode_max_outputs(workdir, cap, lines):
-    code, out, err = run_cli(["enumerate", "--mode", "exact", "--max-outputs", cap]
-                             + io_args(workdir))
+    extra = [] if cap is None else ["--max-outputs", cap]
+    code, out, err = run_cli(["enumerate", "--mode", "exact"] + extra + io_args(workdir))
     assert code == 0
     assert out.splitlines() == lines
     assert err.strip() == f"outputs={len(lines) - 1} mode=exact"
@@ -110,6 +104,57 @@ def test_enumerate_general_modes(workdir):
         code, out, err = run_cli(argv)
         assert code == 0, err
         assert out.strip().splitlines()[-1] in ("-- end --", "-- truncated --")
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The inputs scripts/demo_walkthrough.py writes, plus the local pair query."""
+    tmp_path = tmp_path_factory.mktemp("walkthrough")
+    registry = TypeRegistry()
+    (tmp_path / "schema.txt").write_text(figures.GRAPH_SCHEMA.serialize())
+    (tmp_path / "family.db").write_text(
+        serialize_database(figures.fallback_family(m=3, a_copies=1)))
+    (tmp_path / "demo.query").write_text(print_query(figures.demo_query(registry)))
+    (tmp_path / "local.query").write_text(print_query(figures.local_pair_a_query(registry)))
+    return tmp_path
+
+
+# SHA-256 of stdout then stderr for --gamma 0.01 --epsilon 0.02 --seed 7: plain,
+# --instrument, --max-outputs 1; pinned from the five-function engine.  At n = 32
+# every tester kind takes its full check, so the kind leaves them unchanged.
+MODE_DIGESTS = {
+    "local": ("dc01b3d5a64dcb9896c5a93566e15a3fd134ae9cff1c114c583d7a6da1e23b2f",
+              "79bb8188f2afe7d2a0437f01f492426b76a455f497f7337523d45a46ec1fe46b",
+              "fd4e0b8e6be33c0ed45adfa2cba1e5c592be732f63522f32d69844d47f786132"),
+    "local-strengthened": ("f1bba464533ea6be7ac4bb420cc884244a6680098def99e2519712f1d7f30141",
+                           "00e2d87cb26663db565267d050348eeba13207440770929082395d0482115dbb",
+                           "7f466972d1046678b47d6150becee6a7f01e2ebd91c3387cb560d7114fb5c081"),
+    "general": ("329cb1392a18a25ef1658a42bba060c3a145b3ef5d1d9407a4420bcca2a9e337",
+                "51a694ee913cc0a11f006ed86ccfbfdd6c0531273b65260202d946f1fadb37f0",
+                "678eddeee89ef4be5303283a9ad0b8ba130418bda83060d16309cef64ac625cc"),
+    "general-strengthened": ("7b405a5655e443cf59a2aad87543a47be10e189ade589c274ff6a77f3f9ab73b",
+                             "2c99ebaeca7ebbcf9188ce91017f599676b17542ca35ca9e014fdf30580d4584",
+                             "8cdc2502d41bdd15b3a137306c91bfa8c5f139cb44328bc3e005f69600daadff"),
+    "hanf": ("5d6d85ddd28fced4dc8db51455368be11407c99454641a683f8c1840f71a849f",
+             "7f1828e73be8d10f974dd81c69cb2cb7353aba7a03a6ff8a2e422ed56a63f5e3",
+             "9dd8ad1d2768614697b66b4e1dc4d2df6411ee87cbfe7b5b614e6f3dfd3b01cd"),
+}
+
+
+@pytest.mark.parametrize("tester", TESTER_KINDS)
+@pytest.mark.parametrize("mode", sorted(MODE_DIGESTS))
+def test_enumerate_output_pinned(walkthrough, mode, tester):
+    query = "local.query" if mode.startswith("local") else "demo.query"
+    argv = ["enumerate", "--mode", mode, "--tester", tester, "--gamma", "0.01",
+            "--epsilon", "0.02", "--seed", "7", "--schema", str(walkthrough / "schema.txt"),
+            "--db", str(walkthrough / "family.db"), "--d", "3",
+            "--query", str(walkthrough / query)]
+    digests = []
+    for extra in ([], ["--instrument"], ["--max-outputs", "1"]):
+        code, out, err = run_cli(argv + extra)
+        assert code == 0, err
+        digests.append(hashlib.sha256((out + err).encode()).hexdigest())
+    assert tuple(digests) == MODE_DIGESTS[mode]
 
 
 def test_parse_error_exit_code(workdir, tmp_path):
@@ -260,6 +305,18 @@ def test_selftest_audits_duplicates_last():
     assert [line.split("]")[0] for line in lines] == ["[C5 constant delay", "[C4 no duplicates"]
     audited = int(re.search(r"(\d+) runs audited", lines[-1]).group(1))
     assert audited > 0
+
+
+@pytest.mark.parametrize("only, code, first_lines", [
+    ("C4", 2, []),     # C4 alone would audit no run
+    ("C7", 0, ["[C7 frequency estimation"]),  # C7 records no run: no C4 line
+], ids=["only-C4", "only-C7"])
+def test_selftest_reports_c4_only_with_runs(only, code, first_lines):
+    got, out, err = run_cli(["selftest", "--scale", "0.02", "--only", only])
+    assert got == code
+    assert [line.split("]")[0] for line in out.splitlines()] == first_lines
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: C4 audits")
 
 
 def test_selftest_fault_injection():

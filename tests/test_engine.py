@@ -14,13 +14,14 @@ from approxenum.engine import (
     enumerate_hanf_testable,
     enumerate_local,
     enumerate_local_strengthened,
+    enumerate_query,
     lemma_constants,
     partitioned_enumerate,
 )
-from approxenum.errors import MissingTester, NotLocal
+from approxenum.errors import MissingTester, NotLocal, ParameterError
 from approxenum.exact import answer_set
 from approxenum.query import Clause, QueryNF, SphereAtom
-from approxenum.testers import make_tester_factory
+from approxenum.testers import ExactClauseTester, make_tester_factory
 from approxenum.typecache import TypeCache
 
 
@@ -312,6 +313,56 @@ def test_enumerate_hanf_plugins(registry):
     with pytest.raises(MissingTester):
         enumerate_hanf_testable(db, q, 0.05, 0.05, 3, emit=lambda t: None,
                                 plugins=plugins[:1], cache=cache)
+
+
+@pytest.mark.parametrize("mode, alias, kwargs", [
+    ("local", enumerate_local, {}),
+    ("local-strengthened", enumerate_local_strengthened, {"expansion_cap": 4}),
+    ("general", enumerate_general, {"epsilon": 0.05, "tester": "sampling"}),
+    ("general-strengthened", enumerate_general_strengthened,
+     {"epsilon": 0.05, "tester": "exact", "expansion_cap": 2}),
+    ("hanf-testable", enumerate_hanf_testable, {"epsilon": 0.05, "expansion_cap": 2}),
+], ids=["local", "local-strengthened", "general", "general-strengthened", "hanf-testable"])
+def test_enumerate_query_equals_alias(registry, mode, alias, kwargs):
+    if mode.startswith("local"):
+        db, q = figures.pair_a_copies(20), cherry_leaf_query(registry)
+    else:
+        db, q = figures.fallback_family(m=4, a_copies=1), figures.demo_query(registry)
+    if mode == "hanf-testable":
+        factory = make_tester_factory("example22", q.k)
+        kwargs = dict(kwargs, plugins=[factory(c, len(q.clauses)) for c in q.clauses])
+    a, b = [], []
+    summary_a = alias(db, q, gamma=0.01, seed=5, emit=a.append,
+                      cache=TypeCache(db, registry), **kwargs)
+    summary_b = enumerate_query(db, q, mode, 0.01, 5, b.append, TypeCache(db, registry),
+                                **kwargs)
+    assert a and a == b
+    assert summary_a == summary_b and summary_b.mode == mode
+
+
+def test_enumerate_query_rejects_bad_plans(registry):
+    db = figures.fallback_family(m=2, a_copies=1)
+    q = figures.demo_query(registry)
+    cache = TypeCache(db, registry)
+    plugins = [ExactClauseTester(c, q.k) for c in q.clauses]
+
+    def run(mode, **kwargs):
+        enumerate_query(db, q, mode, 0.05, 1, lambda t: None, cache, **kwargs)
+
+    with pytest.raises(ParameterError, match="unknown mode 'hanf'"):
+        run("hanf", epsilon=0.1, plugins=plugins)
+    with pytest.raises(ParameterError, match="plugins apply to mode 'hanf-testable' only"):
+        run("general-strengthened", epsilon=0.1, plugins=plugins)
+    with pytest.raises(MissingTester, match=r"needs one tester per clause \(2\)"):
+        run("hanf-testable", epsilon=0.1)
+    with pytest.raises(MissingTester, match="2 clauses but 1 tester plugins"):
+        run("hanf-testable", epsilon=0.1, plugins=plugins[:1])
+    for mode, kwargs in (("general", {}), ("general-strengthened", {}),
+                         ("hanf-testable", {"plugins": plugins})):
+        with pytest.raises(ParameterError, match=f"mode '{mode}' needs epsilon"):
+            run(mode, **kwargs)
+    with pytest.raises(NotLocal):
+        run("local-strengthened")
 
 
 @pytest.mark.parametrize("max_outputs, digest", [

@@ -207,6 +207,15 @@ def test_compute_type_set_exact_small(registry):
     assert tset.members == frozenset([q.clauses[0].sphere.type.type_id])
 
 
+@pytest.mark.parametrize("m, a_copies", [(2, 1), (80, 0)], ids=["exact-branch", "sampled"])
+def test_compute_type_set_rejects_unknown_tester(registry, m, a_copies):
+    # the kind is checked on both branches, not only where a tester runs
+    db = figures.fallback_family(m=m, a_copies=a_copies)
+    with pytest.raises(MissingTester, match="unknown tester kind 'bogus'"):
+        compute_type_set(TypeCache(db, registry), figures.demo_query(registry), 0.1, 0,
+                         tester="bogus")
+
+
 def test_compute_type_set_statistical(registry):
     # large no-marker family: fallback clause accepted with high frequency
     db = figures.fallback_family(m=80, a_copies=0)
