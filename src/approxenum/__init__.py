@@ -35,8 +35,8 @@ from .exact import (
     count_type,
     eval_hanf,
     eval_query,
-    eval_sphere,
-    local_member,
+    live_types,
+    sentences_hold,
 )
 from .splits import candidate_found_tuples
 from .testers import (

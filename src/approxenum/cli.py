@@ -29,9 +29,9 @@ from .errors import (
     ParseError,
     check_parameter,
 )
-from .exact import answer_set, local_member
+from .exact import answer_set, eval_query
 from .neighborhoods import TypeRegistry
-from .query import QueryNF, is_local, parse_query
+from .query import QueryNF, parse_query
 from .services import approx_count, membership_answer, membership_preprocess
 from .testers import TESTER_KINDS, compute_type_set, example_tester, make_tester_factory
 from .typecache import TypeCache, group_positions
@@ -63,9 +63,12 @@ def _resolve_seed(args) -> int:
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
+        tup = tuple(int(p) for p in text.replace(",", " ").split())
     except ValueError:
         raise ParseError(f"bad tuple {text!r}") from None
+    if not tup:
+        raise ParseError("empty tuple")
+    return tup
 
 
 def _check_parameters(args) -> None:
@@ -99,12 +102,14 @@ def cmd_enumerate(args) -> int:
         print(f"outputs={len(shown)} mode=exact", file=sys.stderr)
         return 0
     seed = _resolve_seed(args)
-    mode, plugins = args.mode, None
+    mode, epsilon, tester, plugins = args.mode, args.epsilon, args.tester, None
+    if epsilon is None and not mode.startswith("local"):
+        epsilon = 0.1  # the tested modes' default
     if mode == "hanf":  # hanf-testable, with testers of the --tester kind as plugins
-        factory = make_tester_factory(args.tester, q.k)
-        mode, plugins = "hanf-testable", [factory(c, len(q.clauses)) for c in q.clauses]
+        factory = make_tester_factory(tester or "exact", q.k)
+        mode, tester, plugins = "hanf-testable", None, [factory(c) for c in q.clauses]
     summary = enumerate_query(db, q, mode, args.gamma, seed, emit, TypeCache(db, registry),
-                              epsilon=args.epsilon, tester=args.tester, plugins=plugins,
+                              epsilon=epsilon, tester=tester, plugins=plugins,
                               expansion_cap=args.expansion_cap, max_outputs=args.max_outputs,
                               instrument=args.instrument)
     print("-- truncated --" if summary.truncated else "-- end --")
@@ -137,13 +142,7 @@ def cmd_member(args) -> int:
         raise ParseError(f"tuple arity {len(abar)} does not match query k={q.k}")
     cache = TypeCache(db, registry)
     if args.exact:
-        if is_local(q):
-            verdict = local_member(cache, abar, q)
-        else:
-            from .exact import eval_query
-
-            verdict = eval_query(cache, abar, q)
-        print("true" if verdict else "false")
+        print("true" if eval_query(cache, abar, q) else "false")
         return 0
     seed = _resolve_seed(args)
     index = membership_preprocess(db, q, args.epsilon, seed, cache, tester=args.tester)
@@ -234,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "local", "local-strengthened", "general",
                             "general-strengthened", "hanf"])
     p.add_argument("--gamma", type=float, default=0.1, help="answer density threshold")
-    p.add_argument("--epsilon", type=float, default=0.1, help="closeness parameter")
+    p.add_argument("--epsilon", type=float, help="closeness parameter (default 0.1)")
     p.add_argument("--seed", default=None)
     p.add_argument("--max-outputs", type=int, default=None)
-    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
-    p.add_argument("--expansion-cap", type=int, default=1,
-                   help="bound on found tuples per leader tuple (strengthened modes)")
+    p.add_argument("--tester", choices=TESTER_KINDS, help="tester kind (default exact)")
+    p.add_argument("--expansion-cap", type=int,
+                   help="bound on found tuples per leader tuple (default 1)")
     p.add_argument("--instrument", action="store_true", help="count per-output operations")
     p.set_defaults(func=cmd_enumerate, needs_seed=lambda a: a.mode != "exact")
 

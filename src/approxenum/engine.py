@@ -580,25 +580,33 @@ _PLANS = {
 
 def enumerate_query(db: Database, q: QueryNF, mode: str, gamma: float, seed: int,
                     emit: Callable[[tuple[int, ...]], None], cache: TypeCache, *,
-                    epsilon: Optional[float] = None, tester: str = "exact",
+                    epsilon: Optional[float] = None, tester: Optional[str] = None,
                     plugins: Optional[Sequence[ClauseTester]] = None,
-                    expansion_cap: int = 1, **loop_kwargs) -> EnumSummary:
+                    expansion_cap: Optional[int] = None, **loop_kwargs) -> EnumSummary:
     """Enumerate the answers of ``q`` in ``mode`` (a key of ``_PLANS``).
 
     The tested modes need ``epsilon``, and ``hanf-testable`` needs one plugin
     tester per clause.  ``expansion_cap`` must upper-bound the answers one
     leader tuple leads for the strengthened modes' threshold to hold; it
-    divides their mu.  ``loop_kwargs`` go to ``partitioned_enumerate``.
+    divides their mu.  ``tester`` and ``expansion_cap`` default to ``"exact"``
+    and 1; an option the mode does not read raises ParameterError.
+    ``loop_kwargs`` go to ``partitioned_enumerate``.
     """
     if mode not in _PLANS:
         raise ParameterError(f"unknown mode {mode!r}; choose from {', '.join(_PLANS)}")
     strengthened, source, delta = _PLANS[mode]
+    for name, value, reads in (("epsilon", epsilon, source != "sphere"),
+                               ("tester", tester, source == "tester"),
+                               ("plugins", plugins, source == "plugins"),
+                               ("expansion_cap", expansion_cap, strengthened)):
+        if value is not None and not reads:
+            raise ParameterError(f"{name} does not apply to mode {mode!r}")
+    tester = "exact" if tester is None else tester
+    expansion_cap = 1 if expansion_cap is None else expansion_cap
     if source == "sphere" and not is_local(q):
         raise NotLocal("local modes require a sentence-free query")
     if source == "plugins" and plugins is None:
         raise MissingTester(f"mode {mode!r} needs one tester per clause ({len(q.clauses)})")
-    if source != "plugins" and plugins is not None:
-        raise ParameterError(f"plugins apply to mode 'hanf-testable' only, not {mode!r}")
     if source != "sphere" and epsilon is None:
         raise ParameterError(f"mode {mode!r} needs epsilon")
     check_parameter("gamma", gamma)

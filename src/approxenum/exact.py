@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .db import Database
-from .errors import BudgetExceeded, NotLocal
+from .errors import BudgetExceeded
 from .neighborhoods import TypeRegistry
-from .query import HanfSentence, QueryNF, SphereAtom, is_local
+from .query import Clause, HanfSentence, QueryNF
 from .typecache import TypeCache
 
 EDIT_BUDGET_CAP = 3  # largest edit budget the closeness search explores
@@ -27,15 +27,6 @@ INSERTION_SPACE_CAP = 2000  # most candidate insertions it enumerates
 class AnswerSet:
     query: QueryNF
     tuples: tuple[tuple[int, ...], ...]  # sorted, duplicate-free
-
-    def __contains__(self, item) -> bool:
-        return tuple(item) in set(self.tuples)
-
-
-def eval_sphere(cache: TypeCache, abar: Sequence[int], sphere: SphereAtom) -> bool:
-    if len(abar) != len(sphere.type.centre_positions):
-        return False
-    return cache.tuple_type(tuple(abar), sphere.radius) == sphere.type.type_id
 
 
 def count_type(cache: TypeCache, type_id: int, radius: int) -> int:
@@ -53,21 +44,20 @@ def eval_hanf(cache: TypeCache, sentence: HanfSentence) -> bool:
     return not holds if sentence.negated else holds
 
 
+def sentences_hold(cache: TypeCache, clause: Clause) -> bool:
+    """True iff every count sentence of the clause holds (a local clause has none)."""
+    return all(eval_hanf(cache, s) for s in clause.sentences)
+
+
+def live_types(cache: TypeCache, q: QueryNF) -> frozenset[int]:
+    """Sphere types of the clauses whose sentences hold: exactly the answers' types."""
+    return frozenset(c.sphere.type.type_id for c in q.clauses if sentences_hold(cache, c))
+
+
 def eval_query(cache: TypeCache, abar: Sequence[int], q: QueryNF) -> bool:
-    """True iff some clause's sphere matches and all its sentences hold."""
+    """True iff ``abar`` is a k-tuple whose type is live."""
     abar = tuple(abar)
-    if len(abar) != q.k:
-        return False
-    for clause in q.clauses:
-        sentences_ok = all(eval_hanf(cache, s) for s in clause.sentences)
-        if sentences_ok and eval_sphere(cache, abar, clause.sphere):
-            return True
-    return False
-
-
-def clause_sentence_verdicts(cache: TypeCache, q: QueryNF) -> dict[int, bool]:
-    return {idx: all(eval_hanf(cache, s) for s in clause.sentences)
-            for idx, clause in enumerate(q.clauses)}
+    return len(abar) == q.k and cache.tuple_type(abar, q.radius) in live_types(cache, q)
 
 
 def answer_set(db: Database, q: QueryNF, registry: TypeRegistry,
@@ -76,23 +66,12 @@ def answer_set(db: Database, q: QueryNF, registry: TypeRegistry,
     if db.n ** q.k > budget:
         raise BudgetExceeded(f"n^k = {db.n ** q.k} exceeds answer_set budget {budget}")
     cache = TypeCache(db, registry)
-    verdicts = clause_sentence_verdicts(cache, q)
-    live_types = {c.sphere.type.type_id for i, c in enumerate(q.clauses) if verdicts[i]}
+    live = live_types(cache, q)
     out = []
     for abar in itertools.product(range(1, db.n + 1), repeat=q.k):
-        if cache.tuple_type(abar, q.radius) in live_types:
+        if cache.tuple_type(abar, q.radius) in live:
             out.append(abar)
     return AnswerSet(q, tuple(sorted(out)))
-
-
-def local_member(cache: TypeCache, abar: Sequence[int], q: QueryNF) -> bool:
-    """Constant-work membership for sentence-free queries.
-
-    One neighbourhood type lookup and a set test; raises NotLocal otherwise.
-    """
-    if not is_local(q):
-        raise NotLocal("query carries count sentences")
-    return cache.tuple_type(tuple(abar), q.radius) in q.sphere_type_ids()
 
 
 # -- edit-distance closeness --------------------------------------------------
@@ -180,7 +159,6 @@ def closeness_check(db: Database, abar: Sequence[int], q: QueryNF, epsilon: floa
             ecache = TypeCache(edited, registry)
             if ecache.tuple_type(abar, q.radius) != own_type:
                 continue
-            for clause in matching:
-                if all(eval_hanf(ecache, s) for s in clause.sentences):
-                    return True
+            if any(sentences_hold(ecache, c) for c in matching):
+                return True
     return False

@@ -224,15 +224,15 @@ def criterion_constant_delay(ctx: Context) -> CriterionResult:
     cap = max(200, int(1200 * min(1.0, ctx.scale)))
     parts = []
     ok = True
-    for mode, q in (("local", figures.isolated_pair_query(registry, radius=2)),
-                    ("general", figures.general_iso_query(registry))):
+    for mode, q, tested in (("local", figures.isolated_pair_query(registry, radius=2), {}),
+                            ("general", figures.general_iso_query(registry),
+                             {"epsilon": 0.3, "tester": "sampling"})):
         maxima = []
         for n in sizes:
             db = figures.isolated_db(n)
             sink: list = []
             summary = enumerate_query(db, q, mode, 0.3, 41, sink.append, TypeCache(db, registry),
-                                      epsilon=0.3, tester="sampling", instrument=True,
-                                      max_outputs=cap)
+                                      instrument=True, max_outputs=cap, **tested)
             ctx.note_run(sink)
             maxima.append((n, summary.max_delay_ops, summary.delay_bound,
                            summary.max_oracle_per_output))
@@ -407,7 +407,7 @@ def criterion_general_soundness(ctx: Context) -> CriterionResult:
     plugins = [SamplingClauseTester(c, q.k, force_sample=True, sample_cap=400)
                for c in q.clauses]
     # (mode, tester kind, plugins), by seed % 3
-    styles = (("general", "exact", None), ("hanf-testable", "exact", plugins),
+    styles = (("general", "exact", None), ("hanf-testable", None, plugins),
               ("general-strengthened", "sampling", None))
     trials = ctx.trials(300, floor=30)
     wins = 0

@@ -34,11 +34,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import figures
 from .db import Database
 from .errors import MissingTester, SchemaMismatch, check_parameter
-from .exact import eval_hanf
+from .exact import sentences_hold
 from .neighborhoods import TypeRegistry
-from .query import Clause, HanfSentence, QueryNF
+from .query import Clause, QueryNF
 from .randutil import child_rng, child_seed
 from .splits import candidate_found_tuples
 from .typecache import TypeCache
@@ -79,9 +80,8 @@ def sphere_witness_exists(cache: TypeCache, type_id: int, k: int, radius: int) -
 
 
 def clause_holds_exactly(cache: TypeCache, clause: Clause, k: int) -> bool:
-    if not all(eval_hanf(cache, s) for s in clause.sentences):
-        return False
-    return sphere_witness_exists(cache, clause.sphere.type.type_id, k, clause.sphere.radius)
+    return sentences_hold(cache, clause) and \
+        sphere_witness_exists(cache, clause.sphere.type.type_id, k, clause.sphere.radius)
 
 
 @dataclass
@@ -218,27 +218,10 @@ def example_tester(db: Database, epsilon: float, seed: int,
     otherwise sample ceil(log_{1-eps*d/3}(1/3)) vertices, compute each
     sampled vertex's radius-2 type, and reject exactly when a marker shows up.
     """
-    from . import figures
-
-    if len(db.schema.relations) != 1 or not db.schema.relations[0].symmetric \
-            or db.schema.relations[0].arity != 2:
-        raise SchemaMismatch("demo tester requires a single symmetric binary relation")
     if db.degree_bound < 3:
         raise SchemaMismatch("demo shapes need a degree bound of at least 3")
-    types = figures.shape_types(registry, db.degree_bound)
-    clause = Clause(
-        sphere=_pair_b_sphere(types),
-        sentences=(HanfSentence(True, 1, types["marker"], figures.SHAPE_RADIUS),),
-    )
-    tester = MarkerExclusionTester(clause, k=2)
-    return tester.run(TypeCache(db, registry), epsilon, seed)
-
-
-def _pair_b_sphere(types):
-    from .query import SphereAtom
-    from . import figures
-
-    return SphereAtom(types["pair_b"], figures.SHAPE_RADIUS)
+    fallback = figures.demo_query(registry, db.degree_bound).clauses[1]
+    return MarkerExclusionTester(fallback, k=2).run(TypeCache(db, registry), epsilon, seed)
 
 
 # -- amplification -------------------------------------------------------------
@@ -254,7 +237,7 @@ class AmplifiedTester(ClauseTester):
         return self.base.error_model
 
     def run(self, cache: TypeCache, epsilon: float, seed: int) -> TesterVerdict:
-        verdicts = [self.base.run(cache, epsilon, child_seed_int(seed, rep))
+        verdicts = [self.base.run(cache, epsilon, child_seed(seed, "amplify", rep))
                     for rep in range(self.repetitions)]
         if self.base.error_model == "one-sided":
             accept = all(v.accept for v in verdicts)  # any rejection is conclusive
@@ -267,10 +250,6 @@ class AmplifiedTester(ClauseTester):
             {"tester": "amplified", "repetitions": self.repetitions,
              "model": self.base.error_model, "votes": [v.accept for v in verdicts]},
         )
-
-
-def child_seed_int(seed: int, rep: int) -> int:
-    return child_seed(seed, "amplify", rep)
 
 
 def amplification_count(error_model: str, target_confidence: float) -> int:
@@ -310,7 +289,7 @@ class TypeSetT:
         return type_id in self.members
 
 
-TesterFactory = Callable[[Clause, int], ClauseTester]
+TesterFactory = Callable[[Clause], ClauseTester]
 TESTER_KINDS = ("exact", "sampling", "example22")
 
 
@@ -318,7 +297,7 @@ def make_tester_factory(kind: str, k: int) -> TesterFactory:
     if kind not in TESTER_KINDS:
         raise MissingTester(f"unknown tester kind {kind!r}")
 
-    def factory(clause: Clause, _m: int) -> ClauseTester:
+    def factory(clause: Clause) -> ClauseTester:
         if kind == "exact":
             return ExactClauseTester(clause, k)
         if kind == "sampling" or not clause.sentences:
@@ -367,8 +346,9 @@ def compute_type_set(cache: TypeCache, q: QueryNF, epsilon: float, seed: int,
     members = set()
     details = []
     for idx, clause in enumerate(q.clauses):
-        base = plugins[idx] if plugins is not None else factory(clause, m)
-        verdict = amplify(base, target).run(cache, epsilon / 2.0, child_seed_int(seed, 1000 + idx))
+        base = plugins[idx] if plugins is not None else factory(clause)
+        verdict = amplify(base, target).run(cache, epsilon / 2.0,
+                                            child_seed(seed, "amplify", 1000 + idx))
         if verdict.accept:
             members.add(clause.sphere.type.type_id)
         details.append((clause.sphere.type.type_id, verdict))

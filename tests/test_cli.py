@@ -119,7 +119,8 @@ def walkthrough(tmp_path_factory):
     return tmp_path
 
 
-# SHA-256 of stdout then stderr for --gamma 0.01 --epsilon 0.02 --seed 7: plain,
+# SHA-256 of stdout then stderr for --gamma 0.01 --epsilon 0.02 --seed 7 (the local
+# modes read neither --epsilon nor --tester, so they get neither): plain,
 # --instrument, --max-outputs 1; pinned from the five-function engine.  At n = 32
 # every tester kind takes its full check, so the kind leaves them unchanged.
 MODE_DIGESTS = {
@@ -144,17 +145,33 @@ MODE_DIGESTS = {
 @pytest.mark.parametrize("tester", TESTER_KINDS)
 @pytest.mark.parametrize("mode", sorted(MODE_DIGESTS))
 def test_enumerate_output_pinned(walkthrough, mode, tester):
-    query = "local.query" if mode.startswith("local") else "demo.query"
-    argv = ["enumerate", "--mode", mode, "--tester", tester, "--gamma", "0.01",
-            "--epsilon", "0.02", "--seed", "7", "--schema", str(walkthrough / "schema.txt"),
+    local = mode.startswith("local")
+    tested = [] if local else ["--tester", tester, "--epsilon", "0.02"]
+    argv = ["enumerate", "--mode", mode] + tested + ["--gamma", "0.01", "--seed", "7",
+            "--schema", str(walkthrough / "schema.txt"),
             "--db", str(walkthrough / "family.db"), "--d", "3",
-            "--query", str(walkthrough / query)]
+            "--query", str(walkthrough / ("local.query" if local else "demo.query"))]
     digests = []
     for extra in ([], ["--instrument"], ["--max-outputs", "1"]):
         code, out, err = run_cli(argv + extra)
         assert code == 0, err
         digests.append(hashlib.sha256((out + err).encode()).hexdigest())
     assert tuple(digests) == MODE_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode, option, value, name", [
+    ("local", "--epsilon", "0.5", "epsilon"),
+    ("local", "--tester", "sampling", "tester"),
+    ("local", "--expansion-cap", "3", "expansion_cap"),
+    ("local-strengthened", "--epsilon", "0.5", "epsilon"),
+    ("local-strengthened", "--tester", "exact", "tester"),
+    ("general", "--expansion-cap", "3", "expansion_cap"),
+])
+def test_enumerate_rejects_unread_options(workdir, mode, option, value, name):
+    code, out, err = run_cli(["enumerate", "--mode", mode, option, value, "--seed", "7"]
+                             + io_args(workdir))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {name} does not apply to mode '{mode}'"]
 
 
 def test_parse_error_exit_code(workdir, tmp_path):
@@ -261,7 +278,7 @@ def test_split_command(workdir):
     assert out.startswith("group 1: coords=[1, 2]")
 
 
-@pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1")])
+@pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1"), ("", "2")])
 def test_split_rejects_bad_inputs(workdir, tup, r):
     # a single-element tuple never reaches a ball, so the command checks itself
     code, out, err = run_cli(["split", "--tuple", tup, "--r", r,

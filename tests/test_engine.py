@@ -303,7 +303,7 @@ def test_enumerate_hanf_plugins(registry):
     db = figures.fallback_family(m=3, a_copies=0)
     q = figures.demo_query(registry)
     factory = make_tester_factory("example22", q.k)
-    plugins = [factory(c, len(q.clauses)) for c in q.clauses]
+    plugins = [factory(c) for c in q.clauses]
     cache = TypeCache(db, registry)
     got, summary = collect(enumerate_hanf_testable, db, q, 0.05, 0.05, 3,
                            plugins=plugins, cache=cache)
@@ -330,7 +330,7 @@ def test_enumerate_query_equals_alias(registry, mode, alias, kwargs):
         db, q = figures.fallback_family(m=4, a_copies=1), figures.demo_query(registry)
     if mode == "hanf-testable":
         factory = make_tester_factory("example22", q.k)
-        kwargs = dict(kwargs, plugins=[factory(c, len(q.clauses)) for c in q.clauses])
+        kwargs = dict(kwargs, plugins=[factory(c) for c in q.clauses])
     a, b = [], []
     summary_a = alias(db, q, gamma=0.01, seed=5, emit=a.append,
                       cache=TypeCache(db, registry), **kwargs)
@@ -351,7 +351,8 @@ def test_enumerate_query_rejects_bad_plans(registry):
 
     with pytest.raises(ParameterError, match="unknown mode 'hanf'"):
         run("hanf", epsilon=0.1, plugins=plugins)
-    with pytest.raises(ParameterError, match="plugins apply to mode 'hanf-testable' only"):
+    with pytest.raises(ParameterError,
+                       match="plugins does not apply to mode 'general-strengthened'"):
         run("general-strengthened", epsilon=0.1, plugins=plugins)
     with pytest.raises(MissingTester, match=r"needs one tester per clause \(2\)"):
         run("hanf-testable", epsilon=0.1)
@@ -363,6 +364,14 @@ def test_enumerate_query_rejects_bad_plans(registry):
             run(mode, **kwargs)
     with pytest.raises(NotLocal):
         run("local-strengthened")
+    for mode, kwargs, name in (("local", {"epsilon": 0.1}, "epsilon"),
+                               ("local-strengthened", {"tester": "exact"}, "tester"),
+                               ("hanf-testable", {"epsilon": 0.1, "plugins": plugins,
+                                                  "tester": "exact"}, "tester"),
+                               ("general", {"epsilon": 0.1, "expansion_cap": 1},
+                                "expansion_cap")):
+        with pytest.raises(ParameterError, match=f"{name} does not apply to mode '{mode}'"):
+            run(mode, **kwargs)
 
 
 @pytest.mark.parametrize("max_outputs, digest", [

@@ -3,17 +3,17 @@ import itertools
 import pytest
 
 from approxenum import figures
-from approxenum.errors import BudgetExceeded, NotLocal
+from approxenum.errors import BudgetExceeded
 from approxenum.exact import (
     answer_set,
     closeness_check,
     count_type,
     eval_hanf,
     eval_query,
-    eval_sphere,
-    local_member,
+    live_types,
+    sentences_hold,
 )
-from approxenum.query import HanfSentence, QueryNF, SphereAtom
+from approxenum.query import HanfSentence, QueryNF
 from approxenum.typecache import TypeCache
 
 
@@ -24,22 +24,21 @@ def setup(registry):
     return registry, types, q
 
 
-def test_eval_sphere_on_shapes(setup):
-    registry, types, q = setup
+def test_eval_sphere_on_shapes(registry):
+    q = figures.local_pair_a_query(registry)
     db_a = figures.graph_db(8, figures.PAIR_A_EDGES)
     db_b = figures.graph_db(8, figures.PAIR_B_EDGES)
     cache_a, cache_b = TypeCache(db_a, registry), TypeCache(db_b, registry)
-    sphere_a = SphereAtom(types["pair_a"], 2)
-    assert eval_sphere(cache_a, (1, 4), sphere_a)
-    assert not eval_sphere(cache_b, (1, 4), sphere_a)
+    assert eval_query(cache_a, (1, 4), q)
+    assert not eval_query(cache_b, (1, 4), q)
 
 
-def test_eval_sphere_cross_copy(setup):
-    registry, types, _ = setup
+def test_eval_sphere_cross_copy(registry):
+    q = figures.local_pair_a_query(registry)
     db = figures.pair_a_copies(2)
     cache = TypeCache(db, registry)
     # a cross-copy pair has a two-component neighbourhood, never pair_a
-    assert not eval_sphere(cache, (1, 12), SphereAtom(types["pair_a"], 2))
+    assert not eval_query(cache, (1, 12), q)
 
 
 def test_count_marker(setup):
@@ -147,24 +146,31 @@ def test_answer_set_relabel_invariance(registry, rng):
     assert got1 == got2
 
 
-def test_local_member_agrees(registry, rng):
+def test_eval_query_agrees_with_answer_set(registry, rng):
     q = figures.local_pair_a_query(registry)
     trials = 0
     for _ in range(40):
         db = figures.random_bounded_db(20, 3, rng, tuple_target=24)
         cache = TypeCache(db, registry)
+        answers = set(answer_set(db, q, registry).tuples)
         for _ in range(250):
             abar = (rng.randint(1, 20), rng.randint(1, 20))
-            assert local_member(cache, abar, q) == eval_query(cache, abar, q)
+            assert eval_query(cache, abar, q) == (abar in answers)
             trials += 1
     assert trials == 10_000
 
 
-def test_local_member_rejects_nonlocal(setup):
-    registry, _, q = setup
-    db = figures.isolated_db(4)
-    with pytest.raises(NotLocal):
-        local_member(TypeCache(db, registry), (1, 2), q)
+def test_live_types(setup):
+    registry, types, q = setup
+    pair_a, pair_b = types["pair_a"].type_id, types["pair_b"].type_id
+    # a marker vertex blocks the fallback clause; without one both clauses live
+    marked = TypeCache(figures.fallback_family(2, 1), registry)
+    assert live_types(marked, q) == {pair_a}
+    unmarked = TypeCache(figures.fallback_family(2, 0), registry)
+    assert live_types(unmarked, q) == {pair_a, pair_b}
+    # a local query has no sentences, so all of its clauses hold anywhere
+    local = figures.local_pair_a_query(registry)
+    assert all(sentences_hold(marked, c) for c in local.clauses)
 
 
 # -- closeness ---------------------------------------------------------------

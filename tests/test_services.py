@@ -9,7 +9,7 @@ from approxenum.engine import (
     enumerate_local_strengthened,
 )
 from approxenum.errors import BudgetExceeded, ParameterError
-from approxenum.exact import answer_set, local_member
+from approxenum.exact import answer_set, eval_query
 from approxenum.query import QueryNF
 from approxenum.services import (
     approx_count,
@@ -48,7 +48,7 @@ def test_membership_agrees_with_local(registry, rng):
         cache = TypeCache(db, registry)
         for _ in range(50):
             abar = (rng.randint(1, 24), rng.randint(1, 24))
-            assert membership_answer(idx, abar) == local_member(cache, abar, q)
+            assert membership_answer(idx, abar) == eval_query(cache, abar, q)
 
 
 def test_membership_empty_query(registry):

@@ -248,7 +248,7 @@ def test_example22_factory_rejects_odd_shapes(registry):
     )
     factory = make_tester_factory("example22", 2)
     with pytest.raises(MissingTester):
-        factory(weird, 1)
+        factory(weird)
 
 
 def test_type_set_contract_statistical(registry):
