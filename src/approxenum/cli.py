@@ -26,6 +26,7 @@ from .errors import (
     ApproxEnumError,
     ElementOutOfRange,
     NotLocal,
+    ParameterError,
     ParseError,
     check_parameter,
 )
@@ -94,6 +95,10 @@ def cmd_enumerate(args) -> int:
         raise ParseError("enumerate requires --query")
     emit = _emit_stream(sys.stdout)
     if args.mode == "exact":
+        for name in ("epsilon", "tester", "expansion_cap", "instrument"):
+            value = getattr(args, name)
+            if value is not None and value is not False:
+                raise ParameterError(f"{name} does not apply to mode 'exact'")
         answers = answer_set(db, q, registry).tuples
         shown = answers if args.max_outputs is None else answers[:args.max_outputs]
         for tup in shown:
@@ -175,6 +180,8 @@ def cmd_test(args) -> int:
     schema, db, q = _load_inputs(args, registry)
     seed = _resolve_seed(args)
     if q is None:
+        if args.tester is not None:
+            raise ParameterError("tester does not apply without --query")
         verdict = example_tester(db, args.epsilon, seed, registry)
         print("accept" if verdict.accept else "reject")
         print(json.dumps({"samples": verdict.samples_used, "seed": seed,
@@ -182,7 +189,7 @@ def cmd_test(args) -> int:
                          sort_keys=True, default=str), file=sys.stderr)
         return 0
     cache = TypeCache(db, registry)
-    tset = compute_type_set(cache, q, args.epsilon, seed, tester=args.tester)
+    tset = compute_type_set(cache, q, args.epsilon, seed, tester=args.tester or "exact")
     for i, clause in enumerate(q.clauses):
         accepted = clause.sphere.type.type_id in tset.members
         print(f"clause {i + 1}: {'accept' if accepted else 'reject'}")
@@ -263,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, query_required=False)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--seed", default=None)
-    p.add_argument("--tester", default="exact", choices=TESTER_KINDS)
+    p.add_argument("--tester", choices=TESTER_KINDS,
+                   help="tester kind for --query (default exact)")
     p.set_defaults(func=cmd_test, needs_seed=lambda a: True)
 
     p = sub.add_parser("split", help="print the coordinate groups of a tuple and their leaders")

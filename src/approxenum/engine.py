@@ -7,7 +7,8 @@ indices, filters the fresh ones through the membership check into a queue,
 pops one queued item and outputs its expansions; the run stops the first time
 the queue is empty.  An item's expansions are the item itself, except in the
 strengthened modes, where a leader tuple expands to the answers it leads (at
-least one, since membership is a non-empty expansion).  With
+least one, since membership is a non-empty expansion).  The membership check
+computes that expansion once and holds it until the leader is popped.  With
 
     q     = min((1 - mu*(1-mu))^2, (1-delta)^2 / 9)
     alpha = ceil(log_{1 - mu*(1-mu)} q)
@@ -70,7 +71,7 @@ from .db import Database
 from .errors import MissingTester, NotLocal, ParameterError, check_parameter
 from .query import QueryNF, compute_conn, is_local
 from .randutil import child_rng, child_seed
-from .splits import _position_filters, candidate_found_tuples
+from .splits import candidate_found_tuples
 from .testers import ClauseTester, compute_type_set
 from .typecache import TypeCache, check_cache
 
@@ -284,7 +285,7 @@ class TypeMembership:
         self.k = k
         self.radius = radius
         self._allowed = [np.array(sorted(s), dtype=np.int64)
-                         for s in _position_filters(cache.registry, type_ids, k)]
+                         for s in cache.position_filters(type_ids, k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
         self.expansion_cap = 1
 
@@ -338,7 +339,9 @@ class SplitMembership:
 
     The elementwise prefilter admits element ``a`` at leader slot ``j`` only
     when some target type's j-th group leader carries ``a``'s radius-r type;
-    survivors get the exact expansion check.
+    survivors get the exact check, which is the full split expansion.  An
+    admitted leader's expansion is held, keyed by the leader, until the loop
+    pops it, so each leader is expanded once.
     """
 
     def __init__(self, cache: TypeCache, type_ids: frozenset[int], k: int, radius: int,
@@ -364,10 +367,13 @@ class SplitMembership:
             c: [np.array(sorted(s), dtype=np.int64) for s in slots]
             for c, slots in allowed.items()
         }
+        self._expanded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def check(self, tup: tuple[int, ...]) -> bool:
-        return bool(candidate_found_tuples(self.cache, tup, self.type_ids,
-                                           self.k, self.radius, first_only=True))
+        found = candidate_found_tuples(self.cache, tup, self.type_ids, self.k, self.radius)
+        if found:
+            self._expanded[tup] = found
+        return bool(found)
 
     def check_block(self, arity: int, cols: list[np.ndarray]) -> np.ndarray:
         size = cols[0].size
@@ -387,7 +393,12 @@ class SplitMembership:
         return mask
 
     def expansions(self, tup: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return candidate_found_tuples(self.cache, tup, self.type_ids, self.k, self.radius)
+        found = self._expanded.pop(tup, None)
+        if found is None:
+            # a leader queued twice, which only the injected dedup fault
+            # allows, had its held expansion taken at its first pop
+            found = candidate_found_tuples(self.cache, tup, self.type_ids, self.k, self.radius)
+        return found
 
 
 def _leader_positions(t) -> list[int]:

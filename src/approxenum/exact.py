@@ -30,11 +30,15 @@ class AnswerSet:
 
 
 def count_type(cache: TypeCache, type_id: int, radius: int) -> int:
-    """Exact number of elements with the given 1-centre type, by full scan."""
-    total = 0
-    for a in range(1, cache.db.n + 1):
-        if cache.element_type(a, radius) == type_id:
-            total += 1
+    """Exact number of elements with the given 1-centre type.
+
+    One full scan per (type, radius) and cache; later calls read the memo.
+    """
+    key = (type_id, radius)
+    total = cache.type_counts.get(key)
+    if total is None:
+        total = sum(cache.element_type(a, radius) == type_id for a in range(1, cache.db.n + 1))
+        cache.type_counts[key] = total
     return total
 
 

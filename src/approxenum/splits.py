@@ -10,12 +10,16 @@ the tuple, and every other member sits within ``member_reach`` of it.
 tuple types: it enumerates exactly the k-tuples with those types whose
 grouping is led by the given leaders, filling the non-leader coordinates
 from the leaders' reach balls.  Each k-tuple arises from exactly one leader
-tuple, which the enumeration engine relies on for duplicate freedom.
+tuple, which the enumeration engine relies on for duplicate freedom.  The
+engine's membership check runs the full expansion once per leader; the
+``first_only`` stop at the first hit serves only the exact witness scan
+``testers.sphere_witness_exists``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+import functools
+from typing import Optional, Sequence
 
 from .db import gaifman_ball
 from .typecache import TypeCache, group_positions
@@ -26,24 +30,27 @@ def member_reach(radius: int, k: int) -> int:
     return (2 * radius + 1) * (k - 1)
 
 
-def _ordered_partitions(k: int, blocks: int) -> Iterator[list[list[int]]]:
+@functools.cache
+def _ordered_partitions(k: int, blocks: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partitions of positions 0..k-1 into ``blocks`` groups ordered by first member."""
+    out = []
 
     def rec(pos: int, groups: list[list[int]]):
         if pos == k:
             if len(groups) == blocks:
-                yield [list(g) for g in groups]
+                out.append(tuple(tuple(g) for g in groups))
             return
         for g in groups:
             g.append(pos)
-            yield from rec(pos + 1, groups)
+            rec(pos + 1, groups)
             g.pop()
         if len(groups) < blocks:
             groups.append([pos])
-            yield from rec(pos + 1, groups)
+            rec(pos + 1, groups)
             groups.pop()
 
-    yield from rec(0, [])
+    rec(0, [])
+    return tuple(out)
 
 
 def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: frozenset[int],
@@ -53,25 +60,27 @@ def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: froz
     Enumerates group assignments and fills non-leader coordinates from the
     leaders' reach balls, then keeps exactly the tuples whose own split
     reproduces the assignment.  Work depends only on the degree bound, the
-    radius and k.  Results are sorted; with ``first_only`` the scan stops at
-    the first hit (membership tests need only non-emptiness).
+    radius and k.  A leader's reach ball is built the first time one of its
+    group's non-leader positions is filled, so a leader tuple whose element
+    types lead no target costs no ball search.  Results are sorted; with
+    ``first_only`` the scan stops at the first hit.
     """
     abar = tuple(abar)
     c = len(abar)
     if c > k or not type_ids:
         return []
-    allowed = _position_filters(cache.registry, type_ids, k)
+    allowed = cache.position_filters(type_ids, k)
     reach = member_reach(radius, k)
-    balls = [sorted(gaifman_ball(cache.db, (a,), reach)) for a in abar]
+    balls: dict[int, list[int]] = {}
     results = []
     for partition in _ordered_partitions(k, c):
         # leaders occupy each group's first position
         slots: list[Optional[int]] = [None] * k
         for gi, grp in enumerate(partition):
             slots[grp[0]] = abar[gi]
-        free = [(pos, gi) for gi, grp in enumerate(partition) for pos in grp[1:]]
         if not _leaders_pass(cache, slots, allowed, radius, partition):
             continue
+        free = [(pos, gi) for gi, grp in enumerate(partition) for pos in grp[1:]]
 
         def fill(idx: int):
             if idx == len(free):
@@ -79,12 +88,15 @@ def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: froz
                 if cache.tuple_type(btuple, radius) not in type_ids:
                     return
                 grouping = group_positions(cache, btuple, radius)
-                if grouping != [sorted(g) for g in partition]:
+                if [tuple(g) for g in grouping] != list(partition):
                     return
                 results.append(btuple)
                 return
             pos, gi = free[idx]
-            for x in balls[gi]:
+            ball = balls.get(gi)
+            if ball is None:
+                ball = balls[gi] = sorted(gaifman_ball(cache.db, (abar[gi],), reach))
+            for x in ball:
                 if cache.element_type(x, radius) not in allowed[pos]:
                     continue
                 slots[pos] = x
@@ -98,18 +110,6 @@ def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: froz
         if first_only and results:
             break
     return sorted(set(results))
-
-
-def _position_filters(registry, type_ids: frozenset[int], k: int) -> list[set[int]]:
-    """Per-position sets of admissible 1-centre element types, from the targets."""
-    allowed: list[set[int]] = [set() for _ in range(k)]
-    for tid in type_ids:
-        t = registry.by_id(tid)
-        if len(t.centre_positions) != k:
-            continue
-        for pos in range(k):
-            allowed[pos].add(registry.centre_restriction(t, pos))
-    return allowed
 
 
 def _leaders_pass(cache: TypeCache, slots, allowed, radius: int, partition) -> bool:

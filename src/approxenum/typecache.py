@@ -64,6 +64,8 @@ class TypeCache:
         self._balls: dict[tuple[int, int], frozenset[int]] = {}
         self._etype: dict[int, np.ndarray] = {}  # radius -> array of type ids (-1 unknown)
         self._tuple_memo: dict[tuple, int] = {}
+        self._filters: dict[tuple[frozenset[int], int], tuple[frozenset[int], ...]] = {}
+        self.type_counts: dict[tuple[int, int], int] = {}  # exact.count_type's memo
 
     # -- balls and distances -------------------------------------------------
 
@@ -138,6 +140,25 @@ class TypeCache:
             tid = self.registry.compose_disjoint(tuple(pattern), tuple(comp_types), radius)
         self._tuple_memo[memo_key] = tid
         return tid
+
+    def position_filters(self, type_ids: frozenset[int], k: int) -> tuple[frozenset[int], ...]:
+        """Per-position sets of admissible 1-centre element types of the k-ary targets.
+
+        Position ``pos`` admits the types that the targets restrict to at that
+        centre; built once per (type set, k).
+        """
+        key = (type_ids, k)
+        hit = self._filters.get(key)
+        if hit is None:
+            allowed: list[set[int]] = [set() for _ in range(k)]
+            for tid in type_ids:
+                t = self.registry.by_id(tid)
+                if len(t.centre_positions) != k:
+                    continue
+                for pos in range(k):
+                    allowed[pos].add(self.registry.centre_restriction(t, pos))
+            hit = self._filters[key] = tuple(frozenset(s) for s in allowed)
+        return hit
 
     def tuple_type_direct(self, btuple: Sequence[int], radius: int) -> int:
         """Bypass the composition path; reference for property tests."""

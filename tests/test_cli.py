@@ -128,16 +128,16 @@ MODE_DIGESTS = {
               "79bb8188f2afe7d2a0437f01f492426b76a455f497f7337523d45a46ec1fe46b",
               "fd4e0b8e6be33c0ed45adfa2cba1e5c592be732f63522f32d69844d47f786132"),
     "local-strengthened": ("f1bba464533ea6be7ac4bb420cc884244a6680098def99e2519712f1d7f30141",
-                           "00e2d87cb26663db565267d050348eeba13207440770929082395d0482115dbb",
+                           "46b8b7ba75bb46bdc9a90c74cdf3276876faa39e2f48904b3754145062e4362f",
                            "7f466972d1046678b47d6150becee6a7f01e2ebd91c3387cb560d7114fb5c081"),
     "general": ("329cb1392a18a25ef1658a42bba060c3a145b3ef5d1d9407a4420bcca2a9e337",
                 "51a694ee913cc0a11f006ed86ccfbfdd6c0531273b65260202d946f1fadb37f0",
                 "678eddeee89ef4be5303283a9ad0b8ba130418bda83060d16309cef64ac625cc"),
     "general-strengthened": ("7b405a5655e443cf59a2aad87543a47be10e189ade589c274ff6a77f3f9ab73b",
-                             "2c99ebaeca7ebbcf9188ce91017f599676b17542ca35ca9e014fdf30580d4584",
+                             "0317ca060eeb90cba1a7fce3f80d924a3696537ff9f3a834c58918dff2979a3b",
                              "8cdc2502d41bdd15b3a137306c91bfa8c5f139cb44328bc3e005f69600daadff"),
     "hanf": ("5d6d85ddd28fced4dc8db51455368be11407c99454641a683f8c1840f71a849f",
-             "7f1828e73be8d10f974dd81c69cb2cb7353aba7a03a6ff8a2e422ed56a63f5e3",
+             "c6e365a5ebf5b8cc0abc47244675a6d9e8ac53a8a923ead0957311842a3b0ff6",
              "9dd8ad1d2768614697b66b4e1dc4d2df6411ee87cbfe7b5b614e6f3dfd3b01cd"),
 }
 
@@ -159,6 +159,27 @@ def test_enumerate_output_pinned(walkthrough, mode, tester):
     assert tuple(digests) == MODE_DIGESTS[mode]
 
 
+# Largest incidence-probe count between two outputs of the strengthened
+# --instrument runs above.  Each admitted leader's split search runs once, at
+# its check; a second search at the pop made these 500, 156 and 156.
+MAX_ORACLE_PER_OUTPUT = {"local-strengthened": 478, "general-strengthened": 134, "hanf": 134}
+
+
+@pytest.mark.parametrize("mode", sorted(MAX_ORACLE_PER_OUTPUT))
+def test_enumerate_max_oracle_per_output(walkthrough, mode):
+    local = mode.startswith("local")
+    tested = [] if local else ["--tester", "exact", "--epsilon", "0.02"]
+    code, out, err = run_cli(["enumerate", "--mode", mode, "--instrument"] + tested
+                             + ["--gamma", "0.01", "--seed", "7",
+                                "--schema", str(walkthrough / "schema.txt"),
+                                "--db", str(walkthrough / "family.db"), "--d", "3",
+                                "--query", str(walkthrough / ("local.query" if local
+                                                              else "demo.query"))])
+    assert code == 0, err
+    report = json.loads(err.strip().splitlines()[-1])
+    assert report["max_oracle_per_output"] == MAX_ORACLE_PER_OUTPUT[mode]
+
+
 @pytest.mark.parametrize("mode, option, value, name", [
     ("local", "--epsilon", "0.5", "epsilon"),
     ("local", "--tester", "sampling", "tester"),
@@ -166,9 +187,14 @@ def test_enumerate_output_pinned(walkthrough, mode, tester):
     ("local-strengthened", "--epsilon", "0.5", "epsilon"),
     ("local-strengthened", "--tester", "exact", "tester"),
     ("general", "--expansion-cap", "3", "expansion_cap"),
+    ("exact", "--epsilon", "0.5", "epsilon"),
+    ("exact", "--tester", "sampling", "tester"),
+    ("exact", "--expansion-cap", "3", "expansion_cap"),
+    ("exact", "--instrument", None, "instrument"),
 ])
 def test_enumerate_rejects_unread_options(workdir, mode, option, value, name):
-    code, out, err = run_cli(["enumerate", "--mode", mode, option, value, "--seed", "7"]
+    given = [option] if value is None else [option, value]
+    code, out, err = run_cli(["enumerate", "--mode", mode] + given + ["--seed", "7"]
                              + io_args(workdir))
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {name} does not apply to mode '{mode}'"]
@@ -259,6 +285,15 @@ def test_test_command_demo_property(workdir):
     assert out.strip() in ("accept", "reject")
     # this instance carries a marker vertex: the property fails
     assert out.strip() == "reject"
+
+
+def test_test_command_rejects_tester_without_query(workdir):
+    # the demo property has one tester of its own; --tester picks clause testers
+    code, out, err = run_cli(["test", "--tester", "sampling", "--seed", "2",
+                              "--schema", str(workdir / "schema.txt"),
+                              "--db", str(workdir / "db.txt"), "--d", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: tester does not apply without --query"]
 
 
 def test_test_command_clauses(workdir):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from approxenum import figures
+from approxenum import engine, figures
 from approxenum.engine import (
     IndexSpace,
     analytic_delay_bound,
@@ -481,3 +481,48 @@ def test_auxiliary_memory_stays_bounded(registry):
                                             expansion_cap=4)
     assert summary2.outputs == 1600
     assert summary2.max_inner_queue <= 400
+
+
+@pytest.mark.parametrize("mode", ["general-strengthened", "local-strengthened"])
+def test_each_admitted_leader_is_searched_once(registry, monkeypatch, mode):
+    # check runs the one split search per leader and holds its result until
+    # the pop; expansions never searches again
+    searches, checked, memberships = [], [], []
+    popping = [False]
+    search = engine.candidate_found_tuples
+
+    def counted_search(cache, abar, *args, **kwargs):
+        searches.append((tuple(abar), popping[0]))
+        return search(cache, abar, *args, **kwargs)
+
+    class Recorded(engine.SplitMembership):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memberships.append(self)
+
+        def check(self, tup):
+            checked.append(tup)
+            return super().check(tup)
+
+        def expansions(self, tup):
+            popping[0] = True
+            try:
+                return super().expansions(tup)
+            finally:
+                popping[0] = False
+
+    monkeypatch.setattr(engine, "candidate_found_tuples", counted_search)
+    monkeypatch.setattr(engine, "SplitMembership", Recorded)
+    if mode == "general-strengthened":
+        db, q = figures.fallback_family(m=30, a_copies=0), figures.demo_query(registry)
+        kwargs = {"epsilon": 0.05}
+    else:
+        db, q = figures.pair_a_copies(50), cherry_leaf_query(registry)
+        kwargs = {"expansion_cap": 4}
+    got = []
+    summary = enumerate_query(db, q, mode, 0.05, 3, got.append, TypeCache(db, registry),
+                              **kwargs)
+    assert got and not summary.truncated
+    assert [abar for abar, _ in searches] == checked
+    assert not any(from_pop for _, from_pop in searches)
+    assert memberships[0]._expanded == {}

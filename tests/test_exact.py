@@ -160,6 +160,21 @@ def test_eval_query_agrees_with_answer_set(registry, rng):
     assert trials == 10_000
 
 
+def test_warm_eval_query_makes_no_scan(setup):
+    # count_type scans once per (type, radius) and cache; a warm check is one
+    # memoized tuple_type lookup
+    registry, types, q = setup
+    db = figures.fallback_family(40, 1)
+    cache = TypeCache(db, registry)
+    abar = (1, 4)
+    first = eval_query(cache, abar, q)
+    calls = []
+    element_type = cache.element_type
+    cache.element_type = lambda e, r: calls.append(e) or element_type(e, r)
+    assert eval_query(cache, abar, q) == first
+    assert calls == []
+
+
 def test_live_types(setup):
     registry, types, q = setup
     pair_a, pair_b = types["pair_a"].type_id, types["pair_b"].type_id

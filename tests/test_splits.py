@@ -1,8 +1,10 @@
 import itertools
 
-from approxenum import figures
+from approxenum import figures, splits
 from approxenum.db import gaifman_ball
+from approxenum.services import approx_count
 from approxenum.splits import candidate_found_tuples, member_reach
+from approxenum.testers import sphere_witness_exists
 from approxenum.typecache import TypeCache, group_positions
 
 
@@ -112,3 +114,39 @@ def test_equivalence_random_small(registry, rng):
         ids = {cache.tuple_type((rng.randint(1, 12), rng.randint(1, 12)), 1)
                for _ in range(4)}
         exhaustive_equivalence(db, registry, frozenset(ids), 2, 1)
+
+
+def test_gated_leader_costs_no_ball_search(registry, monkeypatch):
+    # a leader whose element type leads no target is turned away before any
+    # reach ball is built
+    db = figures.graph_db(8, figures.PAIR_A_EDGES)
+    cache = TypeCache(db, registry)
+    ids = frozenset([registry.type_of(db, (1, 4), 2).type_id])
+    allowed = cache.position_filters(ids, 2)
+    gated = [a for a in range(1, 9) if cache.element_type(a, 2) not in allowed[0]]
+    assert gated
+    balls = []
+    monkeypatch.setattr(splits, "gaifman_ball", lambda *args: balls.append(args))
+    probes = db.probes
+    for a in gated:
+        assert candidate_found_tuples(cache, (a,), ids, 2, 2) == []
+    assert balls == [] and db.probes == probes
+
+
+def test_split_search_callers_unchanged(registry):
+    # approx_count's found counts and the exact witness scan, pinned from the
+    # search that rebuilt its filters and reach balls on every call
+    q = figures.demo_query(registry)
+    for (m, a_copies), found, witnesses in (((40, 8), 28, [True, True]),
+                                            ((120, 0), 205, [False, True])):
+        db = figures.fallback_family(m, a_copies)
+        cache = TypeCache(db, registry)
+        est = approx_count(db, q, 0.1, 0.1, 5, cache)
+        assert est.sample_sizes == {1: 1476}
+        assert est.estimate == found / 1476 * db.n
+        assert [sphere_witness_exists(cache, c.sphere.type.type_id, q.k, c.sphere.radius)
+                for c in q.clauses] == witnesses
+    types = figures.shape_types(registry)
+    cache = TypeCache(figures.fallback_family(20, 0), registry)
+    assert [sphere_witness_exists(cache, types[name].type_id, 2, 2)
+            for name in ("pair_a", "pair_b", "pair_c")] == [False, True, False]
