@@ -35,7 +35,7 @@ from .neighborhoods import TypeRegistry
 from .query import QueryNF, parse_query
 from .services import approx_count, membership_answer, membership_preprocess
 from .testers import TESTER_KINDS, compute_type_set, example_tester, make_tester_factory
-from .typecache import TypeCache, group_positions
+from .typecache import TypeCache
 
 
 def _read(path: str) -> str:
@@ -205,8 +205,8 @@ def cmd_split(args) -> int:
     for e in btuple:
         if not 1 <= e <= db.n:
             raise ElementOutOfRange(f"element {e} outside [1, {db.n}]")
-    cache = TypeCache(db, registry)
-    for i, grp in enumerate(group_positions(cache, btuple, args.r), start=1):
+    partition = registry.by_id(TypeCache(db, registry).tuple_type(btuple, args.r)).partition
+    for i, grp in enumerate(partition, start=1):
         print(f"group {i}: coords={[pos + 1 for pos in grp]} leader={btuple[grp[0]]}")
     return 0
 

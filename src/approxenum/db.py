@@ -235,16 +235,13 @@ def gaifman_ball(db: Database, elements: Sequence[int], radius: int) -> set[int]
 class Fragment:
     """Sub-database over contiguous local ids 1..size.
 
-    ``orig`` maps local ids back to source elements (``orig[i-1]`` is the
-    source id of local element i); it is None for synthetic fragments such as
-    canonical representatives.  ``tuples`` holds, per relation of the schema,
-    a sorted tuple of local-id tuples.
+    ``tuples`` holds, per relation of the schema, a sorted tuple of local-id
+    tuples.
     """
 
     schema: Schema
     size: int
     tuples: tuple[tuple[Tuple_, ...], ...]
-    orig: Optional[tuple[int, ...]] = None
 
     def incident(self) -> dict[int, list[tuple[int, Tuple_]]]:
         out: dict[int, list[tuple[int, Tuple_]]] = {e: [] for e in range(1, self.size + 1)}
@@ -282,9 +279,6 @@ class Fragment:
                 parent[ra] = rb
         return [find(e) for e in range(1, self.size + 1)]
 
-    def component_count(self) -> int:
-        return len(set(self.component_labels()))
-
     def as_database(self, degree_bound: int) -> Database:
         return Database(self.schema, self.size, degree_bound, self.tuples)
 
@@ -319,7 +313,7 @@ def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence
                     mapped = tuple(local[c] for c in t)
                     keep.add(_normalize(rel, mapped))
         rel_tuples.append(tuple(sorted(keep)))
-    return Fragment(db.schema, len(order), tuple(rel_tuples), orig=tuple(order))
+    return Fragment(db.schema, len(order), tuple(rel_tuples))
 
 
 def parse_database(schema: Schema, text: str, degree_bound: int) -> Database:

@@ -22,7 +22,7 @@ Work between consecutive outputs is bounded by a constant in ``alpha``,
 Three behaviour-preserving fast paths keep large runs tractable; all leave
 the emitted sequence bit-identical to the literal loop for a fixed seed:
 
-* rounds are processed in blocks of up to ``chunk`` whenever enough queued
+* rounds are processed in blocks of up to ``_CHUNK`` whenever enough queued
   items guarantee no stop can occur inside the block (samples are drawn from
   a fixed-size buffered stream, so consumption order does not depend on the
   blocking);
@@ -54,6 +54,9 @@ general-strengthened /     leader tuples of arity     non-empty expansion
 hanf-testable (plugins)    up to conn(q)              against the tested set
 =========================  =========================  ======================
 
+A leader tuple has one coordinate per component of its answers' type
+(``CanonicalType.partition``); ``TypeCache.split_table`` gives both prefilters.
+
 Local modes emit only true answers.  General modes emit, with probability at
 least 2/3, only tuples that are answers or within the edit-distance closeness
 margin, and all answers whenever the answer set meets the threshold.
@@ -77,6 +80,7 @@ from .typecache import TypeCache, check_cache
 
 _NUMPY_SPACE_LIMIT = 1 << 62
 _SAMPLE_BLOCK = 1 << 16
+_CHUNK = 4096  # most rounds one block processes
 
 
 def lemma_constants(mu: float, delta: float) -> tuple[float, int, int]:
@@ -284,8 +288,9 @@ class TypeMembership:
         self.type_ids = type_ids
         self.k = k
         self.radius = radius
-        self._allowed = [np.array(sorted(s), dtype=np.int64)
-                         for s in cache.position_filters(type_ids, k)]
+        table = cache.split_table(type_ids, k).values()
+        self._allowed = [np.array(sorted(set().union(*(f[pos] for f, _ in table))), dtype=np.int64)
+                         for pos in range(k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
         self.expansion_cap = 1
 
@@ -337,32 +342,25 @@ class TypeMembership:
 class SplitMembership:
     """V1 = leader tuples from which some target-type tuple is found.
 
-    The elementwise prefilter admits element ``a`` at leader slot ``j`` only
-    when some target type's j-th group leader carries ``a``'s radius-r type;
+    The elementwise prefilter admits element ``a`` at slot ``j`` of a leader
+    tuple of arity c only when some c-group partition of the split table
+    admits ``a``'s radius-r type at its j-th group's leader position;
     survivors get the exact check, which is the full split expansion.  An
     admitted leader's expansion is held, keyed by the leader, until the loop
     pops it, so each leader is expanded once.
     """
 
     def __init__(self, cache: TypeCache, type_ids: frozenset[int], k: int, radius: int,
-                 conn: int, expansion_cap: int):
+                 expansion_cap: int):
         self.cache = cache
         self.type_ids = type_ids
         self.k = k
         self.radius = radius
-        self.conn = conn
         self.expansion_cap = expansion_cap
-        reg = cache.registry
-        allowed: dict[int, list[set[int]]] = {
-            c: [set() for _ in range(c)] for c in range(1, conn + 1)
-        }
-        for tid in type_ids:
-            t = reg.by_id(tid)
-            c = t.component_count
-            if len(t.centre_positions) != k or c > conn:
-                continue
-            for j, pos in enumerate(_leader_positions(t)):
-                allowed[c][j].add(reg.centre_restriction(t, pos))
+        allowed = {c: [set() for _ in range(c)] for c in range(1, k + 1)}
+        for partition, (filters, _) in cache.split_table(type_ids, k).items():
+            for slot, grp in zip(allowed[len(partition)], partition):
+                slot |= filters[grp[0]]
         self._allowed = {
             c: [np.array(sorted(s), dtype=np.int64) for s in slots]
             for c, slots in allowed.items()
@@ -399,15 +397,6 @@ class SplitMembership:
             # allows, had its held expansion taken at its first pop
             found = candidate_found_tuples(self.cache, tup, self.type_ids, self.k, self.radius)
         return found
-
-
-def _leader_positions(t) -> list[int]:
-    """0-based centre slots leading each component of a type, by first slot."""
-    labels = t.representative.fragment.component_labels()
-    leaders: dict[int, int] = {}
-    for slot, centre in enumerate(t.representative.centres):
-        leaders.setdefault(labels[centre - 1], slot)
-    return list(leaders.values())
 
 
 # -- session summary -----------------------------------------------------------
@@ -450,7 +439,6 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                           mode: str = "partitioned",
                           max_outputs: Optional[int] = None,
                           instrument: bool = False,
-                          chunk: int = 4096,
                           _fault_skip_dedup: bool = False) -> EnumSummary:
     """Run the sampling loop; see the module docstring for the contract."""
     from collections import deque
@@ -494,7 +482,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
             break
         # a block of rounds never outruns the queue, so only a one-round
         # block can find it empty and stop
-        rounds = 1 if instrument else max(1, min(chunk, len(inner)))
+        rounds = 1 if instrument else max(1, min(_CHUNK, len(inner)))
         take_cursor = min(batch * rounds, space.size - cursor)
         # sampling may be skipped once every index has been seen: all draws
         # would be duplicates and cannot affect the output; the instrumented
@@ -632,8 +620,7 @@ def enumerate_query(db: Database, q: QueryNF, mode: str, gamma: float, seed: int
     if strengthened:
         c = compute_conn(q)
         space = IndexSpace.union_up_to(db.n, c)
-        membership = SplitMembership(cache, type_ids, q.k, q.radius,
-                                     conn=c, expansion_cap=expansion_cap)
+        membership = SplitMembership(cache, type_ids, q.k, q.radius, expansion_cap)
         mu = gamma / (c * expansion_cap)
     else:
         space = IndexSpace.power(db.n, q.k)

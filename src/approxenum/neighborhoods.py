@@ -24,7 +24,7 @@ backtracking prunable row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .db import Database, Fragment, gaifman_ball, induced_subdb
@@ -47,9 +47,14 @@ class CanonicalType:
     radius: int
     centre_positions: tuple[int, ...]
     representative: Neighbourhood  # fragment elements are positions 1..m
-    cardinality: int
-    component_count: int
-    key: tuple = field(repr=False, default=())
+    # 0-based centre slots grouped by the representative's Gaifman components,
+    # groups ordered by first slot.  Every element of a neighbourhood is
+    # connected to a centre, so there is one group per component.
+    partition: tuple[tuple[int, ...], ...]
+
+    @property
+    def component_count(self) -> int:
+        return len(self.partition)
 
     def __hash__(self) -> int:
         return self.type_id
@@ -265,7 +270,7 @@ def _rebuild_fragment(frag: Fragment, ordering: list[int]) -> Fragment:
                 mt = (min(mt), max(mt))
             mapped.add(mt)
         rel_tuples.append(tuple(sorted(mapped)))
-    return Fragment(frag.schema, frag.size, tuple(rel_tuples), orig=None)
+    return Fragment(frag.schema, frag.size, tuple(rel_tuples))
 
 
 class TypeRegistry:
@@ -325,14 +330,16 @@ class TypeRegistry:
         if t is None:
             rep_frag = _rebuild_fragment(nb.fragment, ordering)
             rep = Neighbourhood(rep_frag, centre_positions, nb.radius)
+            labels = rep_frag.component_labels()
+            groups: dict[int, list[int]] = {}
+            for slot, centre in enumerate(centre_positions):
+                groups.setdefault(labels[centre - 1], []).append(slot)
             t = CanonicalType(
                 type_id=len(self._types),
                 radius=nb.radius,
                 centre_positions=centre_positions,
                 representative=rep,
-                cardinality=nb.fragment.size,
-                component_count=rep_frag.component_count(),
-                key=key,
+                partition=tuple(tuple(g) for g in groups.values()),
             )
             self._types.append(t)
             self._by_key[key] = t
@@ -389,7 +396,7 @@ class TypeRegistry:
                     rel_tuples[rel_idx].add(tuple(c + offset for c in t))
             part_centres.append(tuple(c + offset for c in part.representative.centres))
             offset += frag.size
-        union = Fragment(schema, offset, tuple(tuple(sorted(s)) for s in rel_tuples), orig=None)
+        union = Fragment(schema, offset, tuple(tuple(sorted(s)) for s in rel_tuples))
         consumed = [0] * len(parts)
         centres = []
         for part_idx in pattern:

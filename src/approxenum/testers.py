@@ -65,18 +65,14 @@ class ClauseTester:
 def sphere_witness_exists(cache: TypeCache, type_id: int, k: int, radius: int) -> bool:
     """Exact existence of a tuple with the given type, via the split table.
 
-    Scans leader tuples of every arity up to the type's component count; each
-    witness is found from exactly one leader tuple, so existence reduces to a
-    non-empty candidate expansion.
+    Scans the leader tuples of arity the type's component count, one leader
+    per component; each witness is found from exactly one of them, so
+    existence reduces to a non-empty candidate expansion.
     """
-    t = cache.registry.by_id(type_id)
-    c = t.component_count
     ids = frozenset([type_id])
-    for arity in range(1, c + 1):
-        for abar in itertools.product(range(1, cache.db.n + 1), repeat=arity):
-            if candidate_found_tuples(cache, abar, ids, k, radius, first_only=True):
-                return True
-    return False
+    arity = cache.registry.by_id(type_id).component_count
+    return any(candidate_found_tuples(cache, abar, ids, k, radius, first_only=True)
+               for abar in itertools.product(range(1, cache.db.n + 1), repeat=arity))
 
 
 def clause_holds_exactly(cache: TypeCache, clause: Clause, k: int) -> bool:

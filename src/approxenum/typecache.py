@@ -12,6 +12,10 @@ exploits two structural facts:
   tuple's type is determined by the component types alone, via the disjoint
   composition interned in the registry.
 
+``split_table`` serves the split search and the engine's memberships: per
+type set, the partitions of the target types into the components of their
+neighbourhoods, each with its targets and per-position element-type filters.
+
 Everything here is semantically transparent: ``tuple_type`` agrees with
 extracting and canonicalizing the neighbourhood directly, which the test
 suite checks property-style.
@@ -29,12 +33,14 @@ from .neighborhoods import TypeRegistry, extract_neighbourhood
 
 
 def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> list[list[int]]:
-    """Partition tuple positions into interaction components.
+    """Partition tuple positions into chains of elements at distance at most 2r+1.
 
-    Positions land in the same group exactly when their elements' radius-r
-    balls are chained together (consecutive distance at most 2r+1); distinct
-    groups are fully separated, with no tuple spanning them.  Groups are
-    ordered by their smallest position; 0-based positions.
+    Distinct groups have disjoint radius-r balls and no tuple spans them, so
+    ``TypeCache.tuple_type`` composes the tuple's type from theirs; this
+    serves that test only.  A tuple's split is its type's ``partition``, which
+    is finer when a tuple of arity 3 or more brings two centres within 2r+1
+    without lying inside their balls.  Groups are ordered by smallest
+    position; 0-based.
     """
     k = len(btuple)
     parent = list(range(k))
@@ -64,7 +70,7 @@ class TypeCache:
         self._balls: dict[tuple[int, int], frozenset[int]] = {}
         self._etype: dict[int, np.ndarray] = {}  # radius -> array of type ids (-1 unknown)
         self._tuple_memo: dict[tuple, int] = {}
-        self._filters: dict[tuple[frozenset[int], int], tuple[frozenset[int], ...]] = {}
+        self._splits: dict[tuple[frozenset[int], int], dict[tuple, tuple]] = {}
         self.type_counts: dict[tuple[int, int], int] = {}  # exact.count_type's memo
 
     # -- balls and distances -------------------------------------------------
@@ -141,23 +147,28 @@ class TypeCache:
         self._tuple_memo[memo_key] = tid
         return tid
 
-    def position_filters(self, type_ids: frozenset[int], k: int) -> tuple[frozenset[int], ...]:
-        """Per-position sets of admissible 1-centre element types of the k-ary targets.
+    def split_table(self, type_ids: frozenset[int], k: int) -> dict[tuple, tuple]:
+        """Per partition that a k-ary target has: (position filters, targets).
 
-        Position ``pos`` admits the types that the targets restrict to at that
-        centre; built once per (type set, k).
+        The filters are, per position, the 1-centre types that the partition's
+        targets restrict to there; built once per (type set, k).
         """
         key = (type_ids, k)
-        hit = self._filters.get(key)
+        hit = self._splits.get(key)
         if hit is None:
-            allowed: list[set[int]] = [set() for _ in range(k)]
+            entries: dict[tuple, tuple[list[set[int]], set[int]]] = {}
             for tid in type_ids:
                 t = self.registry.by_id(tid)
                 if len(t.centre_positions) != k:
                     continue
+                allowed, targets = entries.setdefault(t.partition,
+                                                      ([set() for _ in range(k)], set()))
+                targets.add(tid)
                 for pos in range(k):
                     allowed[pos].add(self.registry.centre_restriction(t, pos))
-            hit = self._filters[key] = tuple(frozenset(s) for s in allowed)
+            hit = self._splits[key] = {
+                partition: (tuple(frozenset(s) for s in allowed), frozenset(targets))
+                for partition, (allowed, targets) in entries.items()}
         return hit
 
     def tuple_type_direct(self, btuple: Sequence[int], radius: int) -> int:

@@ -313,6 +313,17 @@ def test_split_command(workdir):
     assert out.startswith("group 1: coords=[1, 2]")
 
 
+def test_split_command_follows_type_components(tmp_path):
+    # 1 and 2 share a ternary tuple but no tuple of their radius-0 neighbourhood
+    (tmp_path / "schema.txt").write_text("relation R 3\n")
+    (tmp_path / "db.txt").write_text("domain 30\nR 1 2 3\n")
+    code, out, err = run_cli(["split", "--tuple", "1,2", "--r", "0",
+                              "--schema", str(tmp_path / "schema.txt"),
+                              "--db", str(tmp_path / "db.txt"), "--d", "3"])
+    assert code == 0
+    assert out.splitlines() == ["group 1: coords=[1] leader=1", "group 2: coords=[2] leader=2"]
+
+
 @pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1"), ("", "2")])
 def test_split_rejects_bad_inputs(workdir, tup, r):
     # a single-element tuple never reaches a ball, so the command checks itself

@@ -123,14 +123,15 @@ def test_empty_target_stops_immediately():
     (IndexSpace.power(12_000, 2), 2, 1_000),    # above 2^27 indices
     (IndexSpace.power(10**5, 4), 2, 1_000),     # at least 2^62: python-int indices
 ], ids=["40-pow-2", "12000-pow-2", "100000-pow-4"])
-def test_batched_equals_literal(space, seeds, max_outputs):
+def test_batched_equals_literal(space, seeds, max_outputs, monkeypatch):
     # the chunked loop must replay the single-round loop exactly
     pred = lambda t: (t[0] * 7 + t[1]) % 3 == 0
     for seed in range(seeds):
         runs = []
         for chunk in (1, 4096, 7):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             got, _ = collect(partitioned_enumerate, space, PredicateMembership(pred),
-                             0.2, 2 / 3, seed, chunk=chunk, max_outputs=max_outputs)
+                             0.2, 2 / 3, seed, max_outputs=max_outputs)
             runs.append(got)
         assert runs[0] == runs[1] == runs[2]
 
@@ -378,29 +379,30 @@ def test_enumerate_query_rejects_bad_plans(registry):
     (None, "542f98abd1c4170ccb7b4195ca05bf6dae0d7f6545c65c2dee77d42ca800fabf"),
     (37, "68f0624d8a9e0c0302824ad4bcbee2b3004cf9312522b78a3e8674537228c28e"),
 ], ids=["uncut", "cut-37"])
-def test_multi_expansion_stream_pinned(registry, max_outputs, digest):
+def test_multi_expansion_stream_pinned(registry, max_outputs, digest, monkeypatch):
     # each root leads four answers, so one popped leader emits four tuples;
     # every loop path gives the stream pinned from the earlier relay-queue loop
     db = figures.pair_a_copies(50)
     q = cherry_leaf_query(registry)
     cache = TypeCache(db, registry)
-    for kwargs in ({}, {"chunk": 1}, {"chunk": 3}, {"instrument": True}):
+    for chunk, kwargs in ((4096, {}), (1, {}), (3, {}), (4096, {"instrument": True})):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         h = hashlib.sha256()
         summary = enumerate_local_strengthened(
             db, q, 0.05, 3, lambda t: h.update(f"{t[0]} {t[1]}\n".encode()), cache=cache,
             expansion_cap=4, max_outputs=max_outputs, **kwargs)
-        assert h.hexdigest() == digest, kwargs
+        assert h.hexdigest() == digest, (chunk, kwargs)
         if max_outputs is not None:
             assert summary.outputs == max_outputs and summary.truncated
-        elif not kwargs:
+        elif chunk == 4096 and not kwargs:
             # counters of the plain uncut run only: a cut needs fewer rounds,
             # and instrumented runs keep sampling once every index is seen
             assert (summary.outputs, summary.rounds, summary.samples_drawn,
                     summary.seen_count) == (200, 51, 437, 400)
 
 
-def test_local_mode_paths_agree(registry):
-    # identity fast path (batched), relay path (chunk=1) and the instrumented
+def test_local_mode_paths_agree(registry, monkeypatch):
+    # identity fast path (batched), relay path (chunk 1) and the instrumented
     # literal loop must emit identical sequences
     rng = random.Random(2)
     db = figures.planted_isolated_db(60, 30, rng)
@@ -408,21 +410,23 @@ def test_local_mode_paths_agree(registry):
     cache = TypeCache(db, registry)
     for seed in range(5):
         runs = []
-        for kwargs in ({}, {"chunk": 1}, {"instrument": True}):
+        for chunk, kwargs in ((4096, {}), (1, {}), (4096, {"instrument": True})):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             got = []
             enumerate_local(db, q, 0.2, seed, got.append, cache=cache, **kwargs)
             runs.append(got)
         assert runs[0] == runs[1] == runs[2]
 
 
-def test_strengthened_mode_paths_agree(registry):
+def test_strengthened_mode_paths_agree(registry, monkeypatch):
     # expansion-mode batching and the literal loop emit identical sequences
     db = figures.pair_a_copies(15)
     q = figures.local_pair_a_query(registry)
     cache = TypeCache(db, registry)
     for seed in range(4):
         runs = []
-        for kwargs in ({}, {"chunk": 1}, {"chunk": 3}, {"instrument": True}):
+        for chunk, kwargs in ((4096, {}), (1, {}), (3, {}), (4096, {"instrument": True})):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
             got = []
             enumerate_local_strengthened(db, q, 0.08, seed, got.append,
                                          cache=cache, **kwargs)
