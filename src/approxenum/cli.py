@@ -24,7 +24,6 @@ from .engine import enumerate_query
 from .errors import (
     PARAMETER_RANGES,
     ApproxEnumError,
-    ElementOutOfRange,
     NotLocal,
     ParameterError,
     ParseError,
@@ -202,9 +201,6 @@ def cmd_split(args) -> int:
     registry = TypeRegistry()
     schema, db, _ = _load_inputs(args, registry)
     btuple = _parse_tuple(args.tuple)
-    for e in btuple:
-        if not 1 <= e <= db.n:
-            raise ElementOutOfRange(f"element {e} outside [1, {db.n}]")
     partition = registry.by_id(TypeCache(db, registry).tuple_type(btuple, args.r)).partition
     for i, grp in enumerate(partition, start=1):
         print(f"group {i}: coords={[pos + 1 for pos in grp]} leader={btuple[grp[0]]}")

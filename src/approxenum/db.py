@@ -15,6 +15,11 @@ relation flagged ``symmetric``: each edge is stored once as a sorted pair, the
 incidence index exposes it from both endpoints, and isomorphism treats the
 pair as unordered.  This keeps the degree of a vertex equal to its number of
 incident edges.
+
+Database files and query blocks share one tuple-line reader,
+``read_tuple_lines``, and its inverse ``write_tuple_lines``; ``Database`` alone
+checks range, self-loops and the degree bound, sorts symmetric pairs and drops
+duplicates.
 """
 
 from __future__ import annotations
@@ -316,41 +321,58 @@ def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence
     return Fragment(db.schema, len(order), tuple(rel_tuples))
 
 
+def read_tuple_lines(schema: Schema, lines: Iterable[tuple[int, str]]) -> list[list[Tuple_]]:
+    """Numbered ``<relname> <e1> ... <e_ar>`` lines as tuples per relation.
+
+    Skips blank and ``#`` lines; reports an unknown relation, a wrong arity or
+    a non-integer element with its line number.  Range, symmetry and the
+    degree bound are ``Database``'s to check.
+    """
+    by_name, relations = schema.by_name, schema.relations
+    tuples_by_rel: list[list[Tuple_]] = [[] for _ in relations]
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        rel_idx = by_name.get(parts[0])
+        if rel_idx is None:
+            raise ParseError(f"line {lineno}: unknown relation {parts[0]!r}")
+        arity = relations[rel_idx].arity
+        if len(parts) - 1 != arity:
+            raise ArityMismatch(f"line {lineno}: relation {parts[0]} expects {arity} elements")
+        try:
+            tuples_by_rel[rel_idx].append(tuple(map(int, parts[1:])))
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer element") from None
+    return tuples_by_rel
+
+
+def write_tuple_lines(schema: Schema, tuples_by_rel: Sequence[Iterable[Tuple_]]) -> list[str]:
+    """The lines ``read_tuple_lines`` reads back as ``tuples_by_rel``."""
+    return [rel.name + " " + " ".join(str(e) for e in t)
+            for rel, tups in zip(schema.relations, tuples_by_rel) for t in tups]
+
+
 def parse_database(schema: Schema, text: str, degree_bound: int) -> Database:
     """Parse the database text format.
 
     First non-comment line is ``domain <n>``; every further line is
-    ``<relname> <e1> ... <e_ar>``.  Lines starting with ``#`` are comments.
+    ``<relname> <e1> ... <e_ar>``, read by ``read_tuple_lines`` from the same
+    line iterator.  Lines starting with ``#`` are comments.
     """
-    n = None
-    tuples_by_rel: list[list[Tuple_]] = [[] for _ in schema.relations]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if n is None:
-            if parts[0] != "domain" or len(parts) != 2:
-                raise ParseError(f"db line {lineno}: expected 'domain <n>' first")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"db line {lineno}: bad domain size") from None
-            continue
-        name = parts[0]
-        if name not in schema.by_name:
-            raise ParseError(f"db line {lineno}: unknown relation {name!r}")
-        rel = schema.relations[schema.by_name[name]]
-        if len(parts) - 1 != rel.arity:
-            raise ArityMismatch(f"db line {lineno}: relation {name} expects {rel.arity} elements")
+        if parts[0] != "domain" or len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'domain <n>' first")
         try:
-            tup = tuple(int(p) for p in parts[1:])
+            n = int(parts[1])
         except ValueError:
-            raise ParseError(f"db line {lineno}: non-integer element") from None
-        tuples_by_rel[schema.by_name[name]].append(tup)
-    if n is None:
-        raise ParseError("missing 'domain <n>' line")
-    return Database(schema, n, degree_bound, tuples_by_rel)
+            raise ParseError(f"line {lineno}: bad domain size") from None
+        return Database(schema, n, degree_bound, read_tuple_lines(schema, lines))
+    raise ParseError("missing 'domain <n>' line")
 
 
 def load_database(schema_text: str, db_text: str, degree_bound: int) -> tuple[Schema, Database]:
@@ -359,8 +381,4 @@ def load_database(schema_text: str, db_text: str, degree_bound: int) -> tuple[Sc
 
 
 def serialize_database(db: Database) -> str:
-    lines = [f"domain {db.n}"]
-    for rel, tups in zip(db.schema.relations, db.tuples):
-        for t in tups:
-            lines.append(rel.name + " " + " ".join(str(e) for e in t))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"domain {db.n}"] + write_tuple_lines(db.schema, db.tuples)) + "\n"

@@ -94,7 +94,7 @@ def lemma_constants(mu: float, delta: float) -> tuple[float, int, int]:
     return q, alpha, batch
 
 
-def analytic_delay_bound(alpha: int, batch: int, expansion_cap: int = 1) -> int:
+def analytic_delay_bound(alpha: int, batch: int, expansion_cap: int) -> int:
     """Upper bound on instrumented ops between consecutive outputs.
 
     Mirrors the instrumented loop: alpha sample draws, up to ``batch`` cursor

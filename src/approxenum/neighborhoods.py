@@ -45,7 +45,6 @@ class CanonicalType:
 
     type_id: int
     radius: int
-    centre_positions: tuple[int, ...]
     representative: Neighbourhood  # fragment elements are positions 1..m
     # 0-based centre slots grouped by the representative's Gaifman components,
     # groups ordered by first slot.  Every element of a neighbourhood is
@@ -337,7 +336,6 @@ class TypeRegistry:
             t = CanonicalType(
                 type_id=len(self._types),
                 radius=nb.radius,
-                centre_positions=centre_positions,
                 representative=rep,
                 partition=tuple(tuple(g) for g in groups.values()),
             )

@@ -24,20 +24,17 @@ The text grammar is line oriented::
 
 ``HANF + = m`` is sugar for the pair of sentences (>= m) and NOT(>= m+1).
 Neighbourhood blocks are interpreted at the query radius; a block whose
-fragment has an element beyond distance r of the centres is rejected.
+fragment has an element beyond distance r of the centres is rejected.  Their
+tuple lines are read and checked as a database over local ids 1..m
+(``db.read_tuple_lines``, ``db.Database``), so they raise a database file's errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .db import Fragment, Schema, gaifman_ball
-from .errors import (
-    CentreCountMismatch,
-    DegreeExceeded,
-    ParseError,
-    RadiusMismatch,
-)
+from .db import Database, Fragment, Schema, gaifman_ball, read_tuple_lines, write_tuple_lines
+from .errors import CentreCountMismatch, ParseError, RadiusMismatch
 from .neighborhoods import CanonicalType, Neighbourhood, TypeRegistry
 
 
@@ -84,78 +81,46 @@ def compute_conn(q: QueryNF) -> int:
     return max(c.sphere.type.component_count for c in q.clauses)
 
 
-# -- validation --------------------------------------------------------------
-
-
-def _validate_block(frag: Fragment, centres: tuple[int, ...], radius: int,
-                    degree_bound: int, what: str) -> None:
-    db = frag.as_database(degree_bound=max(2, degree_bound))
-    for e in range(1, frag.size + 1):
-        if db.degrees[e] > degree_bound:
-            raise DegreeExceeded(e, db.degrees[e], degree_bound)
-    covered = gaifman_ball(db, centres, radius)
-    if len(covered) != frag.size:
-        raise RadiusMismatch(
-            f"{what}: {frag.size - len(covered)} element(s) beyond distance {radius} of the centres"
-        )
-
-
-def intern_block(frag: Fragment, centres: tuple[int, ...], radius: int,
-                 degree_bound: int, registry: TypeRegistry, what: str) -> CanonicalType:
-    _validate_block(frag, centres, radius, degree_bound, what)
-    return registry.canonicalize(Neighbourhood(frag, centres, radius))
-
-
 # -- text format -------------------------------------------------------------
 
 
-def _parse_neighbourhood_lines(lines: list[tuple[int, str]], schema: Schema,
-                               what: str) -> tuple[Fragment, tuple[int, ...]]:
-    if not lines or not lines[0][1].startswith("DOMAIN"):
-        raise ParseError(f"{what}: expected DOMAIN line")
-    lineno, dom = lines[0]
-    parts = dom.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: expected 'DOMAIN <m>'")
+def _read_block(lines: list[tuple[int, str]], idx: int, schema: Schema, centre_count: int,
+                radius: int, degree_bound: int, registry: TypeRegistry,
+                what: str) -> tuple[CanonicalType, int]:
+    """Intern the type of the neighbourhood block at ``lines[idx]``; also
+    return the index of the line after the block.
+
+    The block is a ``DOMAIN m`` line, a ``CENTRES`` line and tuple lines over
+    local ids, which ``read_tuple_lines`` reads and ``Database`` checks exactly
+    as it checks a database file.
+    """
+    end = idx
+    while end < len(lines) and lines[end][1].split()[0] not in ("HANF", "CLAUSE", "END"):
+        end += 1
+    header = [line.split() for _, line in lines[idx:min(idx + 2, end)]]
+    if not header or header[0][0] != "DOMAIN" or len(header[0]) != 2:
+        raise ParseError(f"{what}: expected 'DOMAIN <m>' line")
     try:
-        m = int(parts[1])
+        m = int(header[0][1])
     except ValueError:
-        raise ParseError(f"line {lineno}: bad domain size") from None
-    if len(lines) < 2 or not lines[1][1].startswith("CENTRES"):
+        raise ParseError(f"line {lines[idx][0]}: bad domain size") from None
+    if len(header) < 2 or header[1][0] != "CENTRES":
         raise ParseError(f"{what}: expected CENTRES line after DOMAIN")
-    lineno, cen = lines[1]
+    lineno = lines[idx + 1][0]
     try:
-        centres = tuple(int(p) for p in cen.split()[1:])
+        centres = tuple(int(p) for p in header[1][1:])
     except ValueError:
         raise ParseError(f"line {lineno}: bad centre list") from None
-    if not centres:
-        raise ParseError(f"line {lineno}: empty centre list")
-    for c in centres:
-        if not (1 <= c <= m):
-            raise ParseError(f"line {lineno}: centre {c} outside [1, {m}]")
-    tuples_by_rel: list[list[tuple]] = [[] for _ in schema.relations]
-    for lineno, line in lines[2:]:
-        parts = line.split()
-        name = parts[0]
-        if name not in schema.by_name:
-            raise ParseError(f"line {lineno}: unknown relation {name!r}")
-        rel = schema.relations[schema.by_name[name]]
-        if len(parts) - 1 != rel.arity:
-            raise ParseError(f"line {lineno}: relation {name} expects {rel.arity} elements")
-        try:
-            tup = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer element") from None
-        for e in tup:
-            if not (1 <= e <= m):
-                raise ParseError(f"line {lineno}: element {e} outside [1, {m}]")
-        if rel.symmetric:
-            if tup[0] == tup[1]:
-                raise ParseError(f"line {lineno}: symmetric relations are irreflexive")
-            tup = (min(tup), max(tup))
-        tuples_by_rel[schema.by_name[name]].append(tup)
-    frag = Fragment(schema, m, tuple(tuple(sorted(set(ts))) for ts in tuples_by_rel))
-    return frag, centres
+    db = Database(schema, m, degree_bound, read_tuple_lines(schema, lines[idx + 2:end]))
+    if len(centres) != centre_count:
+        raise CentreCountMismatch(
+            f"{what} at line {lineno}: {len(centres)} centres, expected {centre_count}")
+    covered = gaifman_ball(db, centres, radius)
+    if len(covered) != m:
+        raise RadiusMismatch(
+            f"{what}: {m - len(covered)} element(s) beyond distance {radius} of the centres")
+    nb = Neighbourhood(Fragment(schema, m, db.tuples), centres, radius)
+    return registry.canonicalize(nb), end
 
 
 def parse_query(text: str, schema: Schema, registry: TypeRegistry) -> QueryNF:
@@ -204,17 +169,8 @@ def parse_query(text: str, schema: Schema, registry: TypeRegistry) -> QueryNF:
         idx += 1
         if idx >= len(lines) or lines[idx][1] != "SPHERE":
             raise ParseError(f"line {lineno}: CLAUSE must start with a SPHERE block")
-        idx += 1
-        block_end = idx
-        while block_end < len(lines) and lines[block_end][1].split()[0] not in ("HANF", "CLAUSE", "END"):
-            block_end += 1
-        frag, centres = _parse_neighbourhood_lines(lines[idx:block_end], schema, "SPHERE block")
-        if len(centres) != k:
-            raise CentreCountMismatch(
-                f"SPHERE block near line {lineno}: {len(centres)} centres, query has k={k}"
-            )
-        sphere_type = intern_block(frag, centres, radius, d, registry, "SPHERE block")
-        idx = block_end
+        sphere_type, idx = _read_block(lines, idx + 1, schema, k, radius, d, registry,
+                                       "SPHERE block")
 
         sentences: list[HanfSentence] = []
         while idx < len(lines) and lines[idx][1].split()[0] == "HANF":
@@ -228,16 +184,7 @@ def parse_query(text: str, schema: Schema, registry: TypeRegistry) -> QueryNF:
                 raise ParseError(f"line {hline_no}: bad threshold") from None
             if threshold < 1:
                 raise ParseError(f"line {hline_no}: threshold must be >= 1")
-            idx += 1
-            block_end = idx
-            while block_end < len(lines) and lines[block_end][1].split()[0] not in ("HANF", "CLAUSE", "END"):
-                block_end += 1
-            hfrag, hcentres = _parse_neighbourhood_lines(lines[idx:block_end], schema, "HANF block")
-            if len(hcentres) != 1:
-                raise CentreCountMismatch(
-                    f"HANF block near line {hline_no}: needs exactly 1 centre"
-                )
-            htype = intern_block(hfrag, hcentres, radius, d, registry, "HANF block")
+            htype, idx = _read_block(lines, idx + 1, schema, 1, radius, d, registry, "HANF block")
             negated = hparts[1] == "-"
             if hparts[2] == "=":
                 if negated:
@@ -246,7 +193,6 @@ def parse_query(text: str, schema: Schema, registry: TypeRegistry) -> QueryNF:
                 sentences.append(HanfSentence(True, threshold + 1, htype, radius))
             else:
                 sentences.append(HanfSentence(negated, threshold, htype, radius))
-            idx = block_end
         clauses.append(Clause(SphereAtom(sphere_type, radius), tuple(sentences)))
     if not seen_end:
         raise ParseError("query text not terminated by END")
@@ -271,12 +217,9 @@ def parse_query(text: str, schema: Schema, registry: TypeRegistry) -> QueryNF:
 
 def _print_neighbourhood(t: CanonicalType) -> list[str]:
     frag = t.representative.fragment
-    lines = [f"DOMAIN {frag.size}",
-             "CENTRES " + " ".join(str(c) for c in t.representative.centres)]
-    for rel, tups in zip(frag.schema.relations, frag.tuples):
-        for tup in tups:
-            lines.append(rel.name + " " + " ".join(str(e) for e in tup))
-    return lines
+    return [f"DOMAIN {frag.size}",
+            "CENTRES " + " ".join(str(c) for c in t.representative.centres),
+            *write_tuple_lines(frag.schema, frag.tuples)]
 
 
 def print_query(q: QueryNF) -> str:

@@ -37,6 +37,8 @@ from .testers import (
 )
 from .typecache import TypeCache
 
+SIGNIFICANCE = 0.01  # level of every statistical floor's one-sided binomial test
+
 
 @dataclass
 class CriterionResult:
@@ -53,7 +55,7 @@ class Context:
     duplicate_violations: int = 0
     runs_checked: int = 0
 
-    def trials(self, full: int, floor: int = 20) -> int:
+    def trials(self, full: int, floor: int) -> int:
         return max(floor, int(round(full * self.scale)))
 
     def note_run(self, emitted: list) -> None:
@@ -62,8 +64,8 @@ class Context:
             self.duplicate_violations += 1
 
 
-def binomial_floor_ok(successes: int, trials: int, p: float, alpha: float = 0.01) -> bool:
-    """True unless H0 'success prob >= p' is rejected at level alpha."""
+def binomial_floor_ok(successes: int, trials: int, p: float) -> bool:
+    """True unless H0 'success prob >= p' is rejected at level SIGNIFICANCE."""
     if trials == 0:
         return True
     logp, logq = math.log(p), math.log1p(-p)
@@ -71,7 +73,7 @@ def binomial_floor_ok(successes: int, trials: int, p: float, alpha: float = 0.01
     for i in range(successes + 1):
         tail += math.exp(math.lgamma(trials + 1) - math.lgamma(i + 1)
                          - math.lgamma(trials - i + 1) + i * logp + (trials - i) * logq)
-    return tail >= alpha
+    return tail >= SIGNIFICANCE
 
 
 def _fault_kwargs(ctx: Context) -> dict:

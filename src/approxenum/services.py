@@ -39,8 +39,6 @@ CENSUS_BUDGET = 2_000_000  # most k-tuples an exhaustive frequency census scans
 @dataclass
 class MembershipIndex:
     query: QueryNF
-    epsilon: float
-    seed: int
     type_set: TypeSetT
     cache: TypeCache
 
@@ -50,7 +48,7 @@ def membership_preprocess(db: Database, q: QueryNF, epsilon: float, seed: int,
                           tester: str = "exact") -> MembershipIndex:
     check_cache(db, cache)
     tset = compute_type_set(cache, q, epsilon, child_seed(seed, "typeset"), tester=tester)
-    return MembershipIndex(q, epsilon, seed, tset, cache)
+    return MembershipIndex(q, tset, cache)
 
 
 def membership_answer(index: MembershipIndex, abar: Sequence[int]) -> bool:

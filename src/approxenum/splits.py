@@ -7,19 +7,19 @@ led by its leader, the coordinate appearing first in the tuple, and every
 other member is chained to it through centres at distance at most 2r+1, so it
 sits within ``member_reach`` of the leader.
 
-``candidate_found_tuples`` expands a leader tuple against a target set of
-tuple types: it enumerates exactly the k-tuples with those types whose split
+``iter_found_tuples`` expands a leader tuple against a target set of tuple
+types: it enumerates exactly the k-tuples with those types whose split
 is led by the given leaders, filling the non-leader coordinates from the
 leaders' reach balls.  Each k-tuple arises from exactly one leader tuple,
-which the enumeration engine relies on for duplicate freedom.  The engine's
-membership check runs the full expansion once per leader; the ``first_only``
-stop at the first hit serves only the exact witness scan
-``testers.sphere_witness_exists``.
+which the enumeration engine relies on for duplicate freedom.
+``candidate_found_tuples`` returns a leader's whole expansion, sorted; the
+exact witness scan ``testers.sphere_witness_exists`` stops at the first tuple
+the expansion yields.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .db import gaifman_ball
 from .typecache import TypeCache
@@ -30,24 +30,23 @@ def member_reach(radius: int, k: int) -> int:
     return (2 * radius + 1) * (k - 1)
 
 
-def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: frozenset[int],
-                           k: int, radius: int, first_only: bool = False) -> list[tuple[int, ...]]:
+def iter_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: frozenset[int],
+                      k: int, radius: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of a target type split into |abar| groups led by ``abar``.
 
     For each partition of the split table (``TypeCache.split_table``) with
     |abar| groups, places the leaders at the groups' first positions, gates
     them with that partition's element-type filters, fills the non-leader
-    coordinates from the leaders' reach balls and keeps the tuples whose type
-    is one of the partition's targets.  Work depends only on the degree bound,
-    the radius and k.  A leader's reach ball is built the first time one of its
-    group's non-leader positions is filled, so a leader tuple whose element
-    types lead no target costs no ball search.  Results are sorted; with
-    ``first_only`` the scan stops at the first hit.
+    coordinates from the leaders' reach balls and yields the tuples whose type
+    is one of the partition's targets, in search order.  Work depends only on
+    the degree bound, the radius and k, and a consumer that stops early skips
+    the rest of the search.  A leader's reach ball is built the first time one
+    of its group's non-leader positions is filled, so a leader tuple whose
+    element types lead no target costs no ball search.
     """
     abar = tuple(abar)
     reach = member_reach(radius, k)
     balls: dict[int, list[int]] = {}
-    results = []
     for partition, (allowed, targets) in cache.split_table(type_ids, k).items():
         if len(partition) != len(abar):
             continue
@@ -60,11 +59,11 @@ def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: froz
             slots[grp[0]] = a
         free = [(pos, gi) for gi, grp in enumerate(partition) for pos in grp[1:]]
 
-        def fill(idx: int):
+        def fill(idx: int) -> Iterator[tuple[int, ...]]:
             if idx == len(free):
                 btuple = tuple(slots)  # type: ignore[arg-type]
                 if cache.tuple_type(btuple, radius) in targets:
-                    results.append(btuple)
+                    yield btuple
                 return
             pos, gi = free[idx]
             ball = balls.get(gi)
@@ -74,12 +73,13 @@ def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: froz
                 if cache.element_type(x, radius) not in allowed[pos]:
                     continue
                 slots[pos] = x
-                fill(idx + 1)
+                yield from fill(idx + 1)
                 slots[pos] = None
-                if first_only and results:
-                    return
 
-        fill(0)
-        if first_only and results:
-            break
-    return sorted(results)
+        yield from fill(0)
+
+
+def candidate_found_tuples(cache: TypeCache, abar: Sequence[int], type_ids: frozenset[int],
+                           k: int, radius: int) -> list[tuple[int, ...]]:
+    """``iter_found_tuples``' whole result, sorted."""
+    return sorted(iter_found_tuples(cache, abar, type_ids, k, radius))

@@ -41,7 +41,7 @@ from .exact import sentences_hold
 from .neighborhoods import TypeRegistry
 from .query import Clause, QueryNF
 from .randutil import child_rng, child_seed
-from .splits import candidate_found_tuples
+from .splits import iter_found_tuples
 from .typecache import TypeCache
 
 
@@ -67,12 +67,12 @@ def sphere_witness_exists(cache: TypeCache, type_id: int, k: int, radius: int) -
 
     Scans the leader tuples of arity the type's component count, one leader
     per component; each witness is found from exactly one of them, so
-    existence reduces to a non-empty candidate expansion.
+    existence reduces to the first tuple any expansion yields.
     """
     ids = frozenset([type_id])
     arity = cache.registry.by_id(type_id).component_count
-    return any(candidate_found_tuples(cache, abar, ids, k, radius, first_only=True)
-               for abar in itertools.product(range(1, cache.db.n + 1), repeat=arity))
+    leaders = itertools.product(range(1, cache.db.n + 1), repeat=arity)
+    return any(True for abar in leaders for _ in iter_found_tuples(cache, abar, ids, k, radius))
 
 
 def clause_holds_exactly(cache: TypeCache, clause: Clause, k: int) -> bool:

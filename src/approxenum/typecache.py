@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .db import Database, gaifman_ball
-from .errors import ParameterError
+from .errors import ElementOutOfRange, ParameterError
 from .neighborhoods import TypeRegistry, extract_neighbourhood
 
 
@@ -123,7 +123,11 @@ class TypeCache:
         """Type id of a tuple's radius-r neighbourhood with ordered centres."""
         btuple = tuple(btuple)
         if len(btuple) == 1:
-            return self.element_type(btuple[0], radius)
+            # element_type indexes its array unchecked: a negative element wraps around
+            (element,) = btuple
+            if not 1 <= element <= self.db.n:
+                raise ElementOutOfRange(f"element {element} outside [1, {self.db.n}]")
+            return self.element_type(element, radius)
         memo_key = (btuple, radius)
         hit = self._tuple_memo.get(memo_key)
         if hit is not None:
@@ -159,7 +163,7 @@ class TypeCache:
             entries: dict[tuple, tuple[list[set[int]], set[int]]] = {}
             for tid in type_ids:
                 t = self.registry.by_id(tid)
-                if len(t.centre_positions) != k:
+                if len(t.representative.centres) != k:
                     continue
                 allowed, targets = entries.setdefault(t.partition,
                                                       ([set() for _ in range(k)], set()))

@@ -268,6 +268,25 @@ def test_member_exact_and_approx(workdir):
     assert code == 0 and out.strip() == "false"  # marker vertex exists
 
 
+@pytest.fixture(scope="module")
+def isolated_vertex_inputs(tmp_path_factory):
+    """Three PAIR_A copies (n = 24) and the k = 1 isolated-vertex query."""
+    tmp_path = tmp_path_factory.mktemp("k1")
+    (tmp_path / "schema.txt").write_text(figures.GRAPH_SCHEMA.serialize())
+    (tmp_path / "db.txt").write_text(serialize_database(figures.pair_a_copies(3)))
+    (tmp_path / "q.query").write_text(print_query(figures.isolated_vertex_query(TypeRegistry())))
+    return ["--schema", str(tmp_path / "schema.txt"), "--db", str(tmp_path / "db.txt"),
+            "--d", "3", "--query", str(tmp_path / "q.query")]
+
+
+@pytest.mark.parametrize("element", ["0", "-1", "25", "12345678901234567890"])
+@pytest.mark.parametrize("how", [["--exact"], ["--seed", "4"]], ids=["exact", "approx"])
+def test_member_rejects_out_of_range_element(isolated_vertex_inputs, element, how):
+    code, out, err = run_cli(["member", "--tuple=" + element] + how + isolated_vertex_inputs)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: element {element} outside [1, 24]"]
+
+
 def test_count_command(workdir):
     code, out, err = run_cli(["count", "--seed", "6", "--epsilon", "0.02",
                               "--lambda", "0.1"] + io_args(workdir, "demo.query"))

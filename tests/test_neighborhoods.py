@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxenum import figures
 from approxenum.db import Database
+from approxenum.errors import ElementOutOfRange
 from approxenum.neighborhoods import TypeRegistry, extract_neighbourhood
 from approxenum.typecache import TypeCache
 
@@ -187,6 +189,16 @@ def test_tuple_type_compose_agrees(registry, rng):
         r = rng.choice([0, 1, 2])
         abar = tuple(rng.randint(1, 14) for _ in range(k))
         assert cache.tuple_type(abar, r) == cache.tuple_type_direct(abar, r)
+
+
+@pytest.mark.parametrize("element", [0, -1, -24, 25])
+def test_single_element_tuple_type_checks_range(registry, element):
+    # with element types cached, a negative index would wrap around the array
+    cache = TypeCache(figures.pair_a_copies(3), registry)
+    for e in (1, 24):
+        cache.tuple_type((e,), 1)
+    with pytest.raises(ElementOutOfRange, match=rf"^element {element} outside \[1, 24\]$"):
+        cache.tuple_type((element,), 1)
 
 
 def test_canonicalize_idempotent_on_representatives(registry, rng):

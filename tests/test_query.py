@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxenum import figures
+from approxenum.db import parse_database
 from approxenum.errors import (
+    ApproxEnumError,
+    ArityMismatch,
     CentreCountMismatch,
     DegreeExceeded,
+    ElementOutOfRange,
     ParseError,
     RadiusMismatch,
 )
@@ -188,3 +192,48 @@ def test_conn_never_exceeds_k(registry, rng):
         abar = tuple(rng.randint(1, 10) for _ in range(3))
         t = registry.type_of(db, abar, 1)
         assert 1 <= t.component_count <= 3
+
+
+# a radius-2 ball around 1 under degree bound 3
+BLOCK_TUPLES = ["E 1 2", "E 1 3", "E 1 4", "E 4 5"]
+
+
+def sphere_query_text(tuple_lines, domain="DOMAIN 5", centres="CENTRES 1") -> str:
+    return "\n".join(["QUERY k=1 r=2 d=3", "CLAUSE", "SPHERE", domain, centres,
+                      *tuple_lines, "END"])
+
+
+def test_block_tuples_load_both_ways(registry):
+    db = parse_database(figures.GRAPH_SCHEMA, "\n".join(["domain 5", *BLOCK_TUPLES]), 3)
+    q = parse_query(sphere_query_text(BLOCK_TUPLES), figures.GRAPH_SCHEMA, registry)
+    assert q.clauses[0].sphere.type == registry.type_of(db, (1,), 2)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("F 1 2", ParseError),
+    ("E 1", ArityMismatch),
+    ("E 1 x", ParseError),
+    ("E 1 9", ElementOutOfRange),
+    ("E 2 2", ParseError),
+    ("E 1 5", DegreeExceeded),  # element 1 would have degree 4
+], ids=["unknown-relation", "arity", "non-integer", "out-of-range", "self-loop", "degree"])
+def test_block_lines_fail_as_database_lines(registry, bad, error):
+    # a SPHERE block's tuple lines are read and checked as a database file's
+    tuple_lines = BLOCK_TUPLES + [bad]
+    raised = []
+    with pytest.raises(ApproxEnumError) as info:
+        parse_database(figures.GRAPH_SCHEMA, "\n".join(["domain 5", *tuple_lines]), 3)
+    raised.append(type(info.value))
+    with pytest.raises(ApproxEnumError) as info:
+        parse_query(sphere_query_text(tuple_lines), figures.GRAPH_SCHEMA, registry)
+    raised.append(type(info.value))
+    assert raised == [error, error]
+
+
+@pytest.mark.parametrize("domain, centres", [("DOMAINX 5", "CENTRES 1"),
+                                             ("DOMAIN 5", "CENTRESX 1")],
+                         ids=["domain", "centres"])
+def test_block_headers_match_exactly(registry, domain, centres):
+    with pytest.raises(ParseError):
+        parse_query(sphere_query_text(BLOCK_TUPLES, domain, centres),
+                    figures.GRAPH_SCHEMA, registry)
