@@ -37,6 +37,10 @@ from .errors import (
 
 Tuple_ = tuple  # readability alias in annotations below
 
+# words that end a neighbourhood block in the query format, so no relation
+# may take them as its name
+QUERY_KEYWORDS = ("HANF", "CLAUSE", "END")
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -53,6 +57,8 @@ class Schema:
         if len(set(names)) != len(names):
             raise ParseError("relation names must be unique")
         for r in relations:
+            if r.name in QUERY_KEYWORDS:
+                raise ParseError(f"relation {r.name}: {r.name!r} is a query keyword")
             if r.arity < 1:
                 raise ParseError(f"relation {r.name}: arity must be >= 1")
             if r.symmetric and r.arity != 2:

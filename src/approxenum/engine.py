@@ -3,12 +3,15 @@
 The core loop enumerates a subset of an index space ``V`` given a constant
 time membership check for the target set ``V1``: each round draws ``alpha``
 indices uniformly at random, advances a sequential cursor by ``batch``
-indices, filters the fresh ones through the membership check into a queue,
-pops one queued item and outputs its expansions; the run stops the first time
-the queue is empty.  An item's expansions are the item itself, except in the
-strengthened modes, where a leader tuple expands to the answers it leads (at
-least one, since membership is a non-empty expansion).  The membership check
-computes that expansion once and holds it until the leader is popped.  With
+indices, filters the fresh ones through the membership check and queues the
+indices of the hits, pops one queued index, decodes it into its tuple and
+outputs that tuple's expansions; the run stops the first time the queue is
+empty.  The queue holds index arrays, so a hit becomes a tuple only at its
+pop, and a hit that a truncated run never pops is never decoded.  A tuple's
+expansions are the tuple itself, except in the strengthened modes, where a
+leader tuple expands to the answers it leads (at least one, since membership
+is a non-empty expansion).  The membership check computes that expansion once
+and holds it until the leader is popped.  With
 
     q     = min((1 - mu*(1-mu))^2, (1-delta)^2 / 9)
     alpha = ceil(log_{1 - mu*(1-mu)} q)
@@ -26,7 +29,7 @@ the emitted sequence bit-identical to the literal loop for a fixed seed:
   items guarantee no stop can occur inside the block (samples are drawn from
   a fixed-size buffered stream, so consumption order does not depend on the
   blocking);
-* in the plain modes, whose expansion is the identity, popped items are
+* in the plain modes, whose expansion is the identity, popped tuples are
   emitted straight off the queue;
 * once every index has been touched, sampling is skipped while the queue
   drains (post-saturation samples are all duplicates and can never change
@@ -65,6 +68,7 @@ margin, and all answers whenever the answer set meets the threshold.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -277,6 +281,50 @@ class _SampleStream:
         return out
 
 
+class _HitQueue:
+    """FIFO of hit indices, decoded into tuples only when popped.
+
+    One index array per block of rounds, plus a head offset into the first
+    array and the count of queued indices.  Arrays keep the dtype of the
+    candidates: int64, or python ints in object arrays for spaces of at least
+    2^62, which ``split_blocks`` decodes all the same.
+    """
+
+    def __init__(self, space: IndexSpace):
+        self.space = space
+        self.count = 0
+        self._arrays: deque[np.ndarray] = deque()
+        self._head = 0
+
+    def push(self, idxs: np.ndarray) -> None:
+        if idxs.size:
+            self._arrays.append(idxs)
+            self.count += idxs.size
+
+    def pop(self, count: int) -> list[tuple[int, ...]]:
+        """The next ``count`` queued tuples, in FIFO order."""
+        parts = []
+        need = count
+        while need:
+            arr = self._arrays[0]
+            part = arr[self._head:self._head + need]
+            parts.append(part)
+            need -= part.size
+            self._head += part.size
+            if self._head == arr.size:
+                self._arrays.popleft()
+                self._head = 0
+        self.count -= count
+        blocks = self.space.split_blocks(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        if len(blocks) == 1:  # one arity block holds every index, in queue order
+            return list(zip(*(c.tolist() for c in blocks[0][2])))
+        out: list = [None] * count
+        for _, sel, cols in blocks:
+            for pos, tup in zip(sel.tolist(), zip(*(c.tolist() for c in cols))):
+                out[pos] = tup
+        return out
+
+
 # -- membership evaluators -----------------------------------------------------
 
 
@@ -426,7 +474,8 @@ class EnumSummary:
     first_output_ops: int = 0
     end_delay_ops: int = 0
     max_oracle_per_output: int = 0
-    max_inner_queue: int = 0
+    max_inner_queue: int = 0  # most hit indices queued at once
+    max_expansions: int = 0   # largest expansion of a popped tuple
     delay_bound: int = 0
     preprocessing: dict = field(default_factory=dict)
 
@@ -441,8 +490,6 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                           instrument: bool = False,
                           _fault_skip_dedup: bool = False) -> EnumSummary:
     """Run the sampling loop; see the module docstring for the contract."""
-    from collections import deque
-
     if max_outputs is not None:
         check_parameter("max_outputs", max_outputs)
     q, alpha, batch = lemma_constants(mu, delta)
@@ -457,24 +504,22 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
     stream = _SampleStream(space.size, seed)
     straight = isinstance(membership, TypeMembership) and not instrument
     limit = math.inf if max_outputs is None else max_outputs
-    inner: deque[tuple[int, ...]] = deque()
+    pending = _HitQueue(space)
     cursor = 0
     emitted = 0
+    widest = 0  # the largest expansion popped so far
     ops_since_emit = 0
     had_output = False
     probes0 = membership.cache.db.probes if hasattr(membership, "cache") else 0
     db = membership.cache.db if hasattr(membership, "cache") else None
 
-    def arrivals_for(cand: np.ndarray, mark: int) -> list[tuple[int, ...]]:
-        fresh_mask = dedup.test_and_set_many(cand, mark)
-        fresh = cand[fresh_mask]
-        decoded: list = [None] * fresh.size
+    def arrivals_for(cand: np.ndarray, mark: int) -> np.ndarray:
+        """The fresh candidates that pass the membership check, in order."""
+        fresh = cand[dedup.test_and_set_many(cand, mark)]
+        hit = np.zeros(fresh.size, dtype=bool)
         for arity, sel, cols in space.split_blocks(fresh):
-            block_mask = membership.check_block(arity, cols)
-            hit_cols = [c[block_mask].tolist() for c in cols]
-            for pos, tup in zip(sel[block_mask], zip(*hit_cols)):
-                decoded[pos] = tup
-        return [tup for tup in decoded if tup is not None]
+            hit[sel] = membership.check_block(arity, cols)
+        return fresh[hit]
 
     while True:
         if emitted >= limit:
@@ -482,7 +527,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
             break
         # a block of rounds never outruns the queue, so only a one-round
         # block can find it empty and stop
-        rounds = 1 if instrument else max(1, min(_CHUNK, len(inner)))
+        rounds = 1 if instrument else max(1, min(_CHUNK, pending.count))
         take_cursor = min(batch * rounds, space.size - cursor)
         # sampling may be skipped once every index has been seen: all draws
         # would be duplicates and cannot affect the output; the instrumented
@@ -499,8 +544,8 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                                    steps.reshape(rows, batch)), axis=1).ravel()
             if take_cursor < batch * rounds:
                 cand = np.concatenate((cand[cand <= space.size], samples[alpha * rows:]))
-            new_items = arrivals_for(cand, cursor + take_cursor)
-            inner.extend(new_items)
+            hits = arrivals_for(cand, cursor + take_cursor)
+            pending.push(hits)
             if instrument:
                 fresh_count = dedup.count  # updated inside arrivals_for
                 ops_since_emit += alpha + take_cursor  # draws + cursor advances
@@ -508,22 +553,25 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                 # dedup writes + membership checks for fresh candidates:
                 # counted via the change in the seen counter
                 ops_since_emit += 2 * (fresh_count - summary.seen_count)
-                ops_since_emit += len(new_items)       # queue pushes
+                ops_since_emit += hits.size            # queue pushes
                 summary.seen_count = fresh_count
         cursor += take_cursor
         summary.rounds += rounds
-        summary.max_inner_queue = max(summary.max_inner_queue, len(inner))
-        if not inner:
+        summary.max_inner_queue = max(summary.max_inner_queue, pending.count)
+        if not pending.count:
             break
         if straight:
             # the expansion is the identity: emit the popped tuples themselves
             take = min(rounds, limit - emitted)
-            for _ in range(take):
-                emit(inner.popleft())
+            for tup in pending.pop(take):
+                emit(tup)
             emitted += take
+            widest = 1
             continue
-        for _ in range(rounds):
-            expanded = membership.expansions(inner.popleft())
+        for leader in pending.pop(rounds):
+            expanded = membership.expansions(leader)
+            if len(expanded) > widest:
+                widest = len(expanded)
             if instrument:
                 ops_since_emit += 1 + 2 * len(expanded)
             for tup in expanded:
@@ -544,6 +592,7 @@ def partitioned_enumerate(space: IndexSpace, membership, mu: float, delta: float
                 break
 
     summary.outputs = emitted
+    summary.max_expansions = widest
     summary.cursor_consumed = cursor
     summary.seen_count = dedup.count
     if instrument:

@@ -33,7 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .db import Database, Fragment, Schema, gaifman_ball, read_tuple_lines, write_tuple_lines
+from .db import (
+    QUERY_KEYWORDS,
+    Database,
+    Fragment,
+    Schema,
+    gaifman_ball,
+    read_tuple_lines,
+    write_tuple_lines,
+)
 from .errors import CentreCountMismatch, ParseError, RadiusMismatch
 from .neighborhoods import CanonicalType, Neighbourhood, TypeRegistry
 
@@ -95,7 +103,7 @@ def _read_block(lines: list[tuple[int, str]], idx: int, schema: Schema, centre_c
     as it checks a database file.
     """
     end = idx
-    while end < len(lines) and lines[end][1].split()[0] not in ("HANF", "CLAUSE", "END"):
+    while end < len(lines) and lines[end][1].split()[0] not in QUERY_KEYWORDS:
         end += 1
     header = [line.split() for _, line in lines[idx:min(idx + 2, end)]]
     if not header or header[0][0] != "DOMAIN" or len(header[0]) != 2:

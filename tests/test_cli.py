@@ -352,6 +352,29 @@ def test_split_rejects_bad_inputs(workdir, tup, r):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("keyword", ["HANF", "CLAUSE", "END"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--mode", "local", "--seed", "1"],
+    ["enumerate", "--mode", "exact"],
+    ["member", "--exact", "--tuple", "1"],
+    ["count", "--seed", "1"],
+    ["test", "--seed", "1"],
+    ["split", "--tuple", "1", "--r", "1"],
+], ids=["enumerate", "exact", "member", "count", "test", "split"])
+def test_query_keyword_relation_rejected(tmp_path, keyword, argv):
+    # the relation's tuple lines would end the query's SPHERE block early
+    (tmp_path / "schema.txt").write_text(f"relation {keyword} 2 symmetric\n")
+    (tmp_path / "db.txt").write_text(f"domain 2\n{keyword} 1 2\n")
+    (tmp_path / "q.query").write_text("\n".join([
+        "QUERY k=1 r=1 d=3", "CLAUSE", "SPHERE", "DOMAIN 2", "CENTRES 1", f"{keyword} 1 2",
+        "END"]))
+    query = [] if argv[0] == "split" else ["--query", str(tmp_path / "q.query")]
+    code, out, err = run_cli(argv + ["--schema", str(tmp_path / "schema.txt"),
+                                     "--db", str(tmp_path / "db.txt"), "--d", "3"] + query)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: relation {keyword}: '{keyword}' is a query keyword"]
+
+
 def test_seed_auto(workdir):
     argv = ["enumerate", "--mode", "local", "--gamma", "0.01", "--seed", "auto"] \
         + io_args(workdir)

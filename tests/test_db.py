@@ -200,3 +200,15 @@ def test_ball_via_distance_oracle(n, r, seed):
         frontier = nxt
     expected = {v for v, dv in dist.items() if dv <= r}
     assert gaifman_ball(db, (a,), r) == expected
+
+
+@pytest.mark.parametrize("keyword", ["HANF", "CLAUSE", "END"])
+def test_query_keywords_cannot_name_relations(keyword):
+    # such a relation loaded from a database file, while its tuple lines cut a
+    # query block short: "DOMAIN 2 / CENTRES 1 / END 1 2" raised RadiusMismatch
+    schema_text = f"relation {keyword} 2 symmetric\n"
+    message = f"relation {keyword}: '{keyword}' is a query keyword"
+    with pytest.raises(ParseError, match=message):
+        Schema([Relation(keyword, 2, symmetric=True)])
+    with pytest.raises(ParseError, match=message):
+        load_database(schema_text, f"domain 2\n{keyword} 1 2\n", 3)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,56 @@ def test_auxiliary_memory_stays_bounded(registry):
                                             expansion_cap=4)
     assert summary2.outputs == 1600
     assert summary2.max_inner_queue <= 400
+
+
+def test_queued_hits_stay_undecoded(registry):
+    # the queue holds hit indices, not tuples: a truncated pass leaves most
+    # of its hits queued, and they must cost about an int64 each
+    db = figures.planted_isolated_db(20_000, 12_000, random.Random(5))
+    q = figures.isolated_pair_query(registry)
+    cache = TypeCache(db, registry)
+    enumerate_local(db, q, 0.3, 1, lambda t: None, cache=cache, max_outputs=100)
+    count = [0]
+
+    def emit(tup):
+        count[0] += 1
+
+    tracemalloc.start()
+    try:
+        summary = enumerate_local(db, q, 0.3, 2, emit, cache=cache, max_outputs=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count[0] == 20_000 and summary.max_inner_queue > 2 * count[0]  # most never popped
+    assert peak <= 100 * summary.max_inner_queue
+
+
+def test_max_expansions_recorded(registry):
+    # each root leads four answers, above the default expansion cap of 1
+    db = figures.pair_a_copies(400)
+    got = []
+    summary = enumerate_local_strengthened(db, cherry_leaf_query(registry), 0.05, 3,
+                                           got.append, cache=TypeCache(db, registry))
+    assert got and summary.expansion_cap == 1
+    assert summary.max_expansions == 4
+    # the plain modes' expansion is the tuple itself
+    db2 = figures.planted_isolated_db(60, 30, random.Random(2))
+    summary2 = enumerate_local(db2, figures.isolated_pair_query(registry), 0.2, 1,
+                               lambda t: None, cache=TypeCache(db2, registry))
+    assert summary2.outputs and summary2.max_expansions == 1
+
+
+def test_leader_queued_twice_is_searched_again(registry):
+    # with dedup off a leader can be queued twice; its held expansion went at
+    # the first pop, so the second pop runs the split search again
+    db = figures.pair_a_copies(12)
+    q = figures.local_pair_a_query(registry)
+    answers = set(answer_set(db, q, registry).tuples)
+    got = []
+    enumerate_local_strengthened(db, q, 0.1, 4, got.append, cache=TypeCache(db, registry),
+                                 _fault_skip_dedup=True)  # returns: the uncapped run ends
+    assert len(got) != len(set(got))
+    assert set(got) <= answers
 
 
 @pytest.mark.parametrize("mode", ["general-strengthened", "local-strengthened"])
