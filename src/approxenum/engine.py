@@ -136,33 +136,44 @@ class IndexSpace:
         return cls(n, tuple(range(1, c + 1)))
 
     def decode(self, idx: int) -> tuple[int, ...]:
+        """The tuple at 1-based index ``idx``; IndexError for any index outside [1, size]."""
         j = idx - 1
         for arity, off, size in zip(self.arities, self._offsets, self._sizes):
-            if j < off + size:
-                j -= off
-                out = []
-                for p in range(arity - 1, -1, -1):
-                    out.append(j // self.n ** p % self.n + 1)
-                return tuple(out)
+            if 0 <= j < off + size:
+                return tuple(self._columns(j - off, arity))
         raise IndexError(f"index {idx} outside space of size {self.size}")
 
     def split_blocks(self, idxs: np.ndarray) -> list[tuple[int, np.ndarray, list[np.ndarray]]]:
-        """Per arity block: (arity, positions into ``idxs``, coordinate columns)."""
-        out = []
+        """Per arity block: (arity, positions into ``idxs``, coordinate columns).
+
+        Every index must lie in [1, size]; the engine passes no other.  A space
+        of one arity is one block, so its positions are all of ``idxs``.
+        """
         j = idxs - 1
+        if len(self.arities) == 1:
+            return [(self.arities[0], np.arange(idxs.size), self._columns(j, self.arities[0]))]
+        out = []
         for arity, off, size in zip(self.arities, self._offsets, self._sizes):
             sel = np.nonzero((j >= off) & (j < off + size))[0]
-            if sel.size == 0:
-                continue
-            rel = j[sel] - off
-            cols = []
-            for p in range(arity - 1, -1, -1):
-                col = rel // self.n ** p % self.n + 1
-                if col.dtype == object:  # huge spaces decode through python ints
-                    col = col.astype(np.int64)
-                cols.append(col)
-            out.append((arity, sel, cols))
+            if sel.size:
+                out.append((arity, sel, self._columns(j[sel] - off, arity)))
         return out
+
+    def _columns(self, rel, arity: int) -> list:
+        """1-based coordinates of the 0-based in-block offsets ``rel``, most significant first.
+
+        They are peeled off by ``//`` and ``%`` (``np.divmod`` has no object-array
+        loop); object arrays, of spaces of at least 2^62, come out as int64 columns.
+        """
+        cols = []
+        for _ in range(arity - 1):
+            cols.append(rel % self.n + 1)
+            rel = rel // self.n
+        cols.append(rel + 1)
+        cols.reverse()
+        if isinstance(rel, np.ndarray) and rel.dtype == object:
+            cols = [c.astype(np.int64) for c in cols]
+        return cols
 
 
 class _Dedup:
@@ -173,8 +184,10 @@ class _Dedup:
     sit in sorted runs, oldest and largest first; a new run merges into the one
     before it once it reaches half that run's size, so an index takes part in
     O(log) merges, and each merge drops the indices the mark has since passed.
-    The record starts empty whatever the size of the space. Runs keep the
-    dtype of the candidates: int64, or python ints in object arrays for
+    The record starts empty whatever the size of the space. A batch's first
+    occurrences come from one sort of packed (value, position) int64 keys;
+    ``np.unique`` serves only spaces too wide for the keys to pack. Runs keep
+    the dtype of the candidates: int64, or python ints in object arrays for
     spaces of at least 2^62.
     """
 
@@ -202,7 +215,7 @@ class _Dedup:
             return np.ones(idxs.size, dtype=bool)
         prev = self.mark
         past = np.flatnonzero(idxs > prev)
-        uniq, first = np.unique(idxs[past], return_index=True)
+        uniq, first = self._first_occurrences(idxs[past])
         # uniq opens with the whole window (prev, mark] the cursor just
         # covered, then holds the samples ahead of the new mark
         width = mark - prev
@@ -228,6 +241,25 @@ class _Dedup:
         if ahead.size:
             self._push(ahead)
         return mask
+
+    def _first_occurrences(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(vals, return_index=True)``, from one sort of packed keys.
+
+        Each key is ``value << bits | position``; equal values sort in position
+        order, so each group of equal values opens at its first occurrence.
+        Keys of spaces too wide to pack into an int64, which include every
+        object-dtype space, go through ``np.unique``.
+        """
+        bits = vals.size.bit_length()
+        if vals.dtype == object or self.size.bit_length() + bits > 63:
+            return np.unique(vals, return_index=True)
+        keys = (vals << bits) | np.arange(vals.size)
+        keys.sort()
+        sorted_vals = keys >> bits
+        start = np.empty(keys.size, dtype=bool)
+        start[:1] = True
+        np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=start[1:])
+        return sorted_vals[start], keys[start] & ((1 << bits) - 1)
 
     def _push(self, run: np.ndarray) -> None:
         runs = self._runs
@@ -328,6 +360,18 @@ class _HitQueue:
 # -- membership evaluators -----------------------------------------------------
 
 
+def _type_table(type_ids) -> np.ndarray:
+    """Bool table over type ids, padded with a trailing False.
+
+    ``np.take(table, ids, mode="clip")`` tests membership; an id interned after
+    the table was built lies beyond it and clips onto the pad.
+    """
+    ids = np.fromiter(type_ids, dtype=np.int64)
+    table = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
+    table[ids] = True
+    return table
+
+
 class TypeMembership:
     """V1 = tuples whose radius-r type belongs to a fixed set."""
 
@@ -337,7 +381,7 @@ class TypeMembership:
         self.k = k
         self.radius = radius
         table = cache.split_table(type_ids, k).values()
-        self._allowed = [np.array(sorted(set().union(*(f[pos] for f, _ in table))), dtype=np.int64)
+        self._allowed = [_type_table(set().union(*(f[pos] for f, _ in table)))
                          for pos in range(k)]
         self._degrees = np.asarray(cache.db.degrees, dtype=np.int64)
         self.expansion_cap = 1
@@ -358,7 +402,7 @@ class TypeMembership:
         for pos in range(self.k):
             col_types = self.cache.element_types_many(cols[pos], self.radius)
             etypes.append(col_types)
-            mask &= np.isin(col_types, self._allowed[pos])
+            mask &= np.take(self._allowed[pos], col_types, mode="clip")
             if not mask.any():
                 return mask
         if self.k == 1:
@@ -409,10 +453,7 @@ class SplitMembership:
         for partition, (filters, _) in cache.split_table(type_ids, k).items():
             for slot, grp in zip(allowed[len(partition)], partition):
                 slot |= filters[grp[0]]
-        self._allowed = {
-            c: [np.array(sorted(s), dtype=np.int64) for s in slots]
-            for c, slots in allowed.items()
-        }
+        self._allowed = {c: [_type_table(s) for s in slots] for c, slots in allowed.items()}
         self._expanded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def check(self, tup: tuple[int, ...]) -> bool:
@@ -429,7 +470,7 @@ class SplitMembership:
         mask = np.ones(size, dtype=bool)
         for j in range(arity):
             etypes = self.cache.element_types_many(cols[j], self.radius)
-            mask &= np.isin(etypes, slots[j])
+            mask &= np.take(slots[j], etypes, mode="clip")
             if not mask.any():
                 return mask
         for i in np.nonzero(mask)[0]:

@@ -345,7 +345,8 @@ def test_split_command_follows_type_components(tmp_path):
 
 @pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1"), ("", "2")])
 def test_split_rejects_bad_inputs(workdir, tup, r):
-    # a single-element tuple never reaches a ball, so the command checks itself
+    # a single-element tuple never reaches a ball, so TypeCache.tuple_type checks
+    # its range; the CLI's own checks reject the radius and the empty tuple
     code, out, err = run_cli(["split", "--tuple", tup, "--r", r,
                               "--schema", str(workdir / "schema.txt"),
                               "--db", str(workdir / "db.txt"), "--d", "3"])

@@ -101,6 +101,67 @@ def test_index_space_union_blocks():
     assert set(blocks) == {1, 2}
 
 
+@pytest.mark.parametrize("space", [IndexSpace.power(5, 3), IndexSpace.union_up_to(4, 2)],
+                         ids=["power", "union"])
+def test_decode_rejects_indices_outside_the_space(space):
+    for idx in (0, -1, -space.size, space.size + 1):
+        with pytest.raises(IndexError, match=f"index {idx} outside space of size {space.size}"):
+            space.decode(idx)
+
+
+@pytest.mark.parametrize("space, dtype", [
+    (IndexSpace.union_up_to(7, 3), np.int64),
+    (IndexSpace.power(50, 3), np.int64),
+    (IndexSpace.power(10**5, 4), object),     # at least 2^62: python-int indices
+], ids=["union-7-3", "50-pow-3", "100000-pow-4"])
+def test_split_blocks_agree_with_decode(space, dtype):
+    def digits(idx):  # base-n digits, most significant first, block after block
+        j = idx - 1
+        for arity in space.arities:
+            if j < space.n ** arity:
+                return tuple(j // space.n ** p % space.n + 1 for p in range(arity - 1, -1, -1))
+            j -= space.n ** arity
+
+    rng = random.Random(17)
+    picks = [1, space.size] + [rng.randrange(1, space.size + 1) for _ in range(500)]
+    idxs = np.array(picks, dtype=dtype)
+    covered = []
+    for arity, sel, cols in space.split_blocks(idxs):
+        assert len(cols) == arity and all(c.dtype == np.int64 for c in cols)
+        covered.extend(sel.tolist())
+        for i, pos in enumerate(sel.tolist()):
+            assert space.decode(picks[pos]) == tuple(int(c[i]) for c in cols) == digits(picks[pos])
+    assert sorted(covered) == list(range(len(picks)))
+
+
+@pytest.mark.parametrize("size, dtype", [
+    (10**6, np.int64),       # keys pack into an int64
+    (1 << 60, np.int64),     # too wide to pack: np.unique
+    (1 << 62, object),       # python-int indices: np.unique
+], ids=["packed", "int64-unique", "object"])
+def test_seen_record_matches_reference_model(size, dtype):
+    # the mask marks exactly the first-ever occurrences, batch after batch
+    rng = random.Random(size)
+    record = engine._Dedup(size)
+    pool = [rng.randrange(1, size + 1) for _ in range(300)]
+    seen: set[int] = set()
+    mark = 0
+    for _ in range(80):
+        new_mark = min(size, mark + rng.randrange(0, 40))
+        batch = list(range(mark + 1, new_mark + 1))  # the window the cursor covers
+        batch += [rng.choice(pool) for _ in range(rng.randrange(0, 200))]
+        batch += [rng.randrange(1, new_mark + 2) for _ in range(rng.randrange(0, 20))]
+        rng.shuffle(batch)
+        want = []
+        for v in batch:
+            want.append(v not in seen)
+            seen.add(v)
+        got = record.test_and_set_many(np.array(batch, dtype=dtype), new_mark)
+        assert got.tolist() == want
+        assert record.count == len(seen)
+        mark = new_mark
+
+
 def test_all_members_enumerated():
     space = IndexSpace.power(30, 1)
     got, summary = collect(
@@ -122,8 +183,9 @@ def test_empty_target_stops_immediately():
 @pytest.mark.parametrize("space, seeds, max_outputs", [
     (IndexSpace.power(40, 2), 8, None),
     (IndexSpace.power(12_000, 2), 2, 1_000),    # above 2^27 indices
+    (IndexSpace.power(1 << 25, 2), 2, 1_000),   # 2^50: small chunks pack, 4096 does not
     (IndexSpace.power(10**5, 4), 2, 1_000),     # at least 2^62: python-int indices
-], ids=["40-pow-2", "12000-pow-2", "100000-pow-4"])
+], ids=["40-pow-2", "12000-pow-2", "2pow25-pow-2", "100000-pow-4"])
 def test_batched_equals_literal(space, seeds, max_outputs, monkeypatch):
     # the chunked loop must replay the single-round loop exactly
     pred = lambda t: (t[0] * 7 + t[1]) % 3 == 0
@@ -461,6 +523,26 @@ def test_split_membership_matches_type_membership(registry):
     if set(got) != exact:  # randomized; retry once with another seed
         got, _ = collect(enumerate_local_strengthened, db, q, 0.1, 78, cache=cache)
     assert set(got) == exact
+
+
+@pytest.mark.parametrize("kind", ["type", "split"])
+def test_prefilter_rejects_types_interned_after_it(registry, monkeypatch, kind):
+    # the lookup tables are built before any element of db is typed, so every
+    # element type the check interns lies beyond them and must hit the pad
+    q = figures.isolated_pair_query(registry)
+    db = figures.pair_a_copies(2)  # no isolated element
+    cache = TypeCache(db, registry)
+    if kind == "type":
+        membership = engine.TypeMembership(cache, q.sphere_type_ids(), q.k, q.radius)
+    else:
+        membership = engine.SplitMembership(cache, q.sphere_type_ids(), q.k, q.radius, 1)
+    known = len(registry)
+    # admit every survivor of the prefilter, so the mask shows the prefilter alone
+    monkeypatch.setattr(membership, "check", lambda tup: True)
+    elements = np.arange(1, db.n + 1, dtype=np.int64)
+    cols = [elements, elements[::-1].copy()]
+    assert not membership.check_block(2, cols).any()
+    assert cache.element_types_many(elements, q.radius).min() >= known
 
 
 def test_delay_bound_formula():
