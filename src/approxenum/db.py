@@ -1,20 +1,24 @@
 """Bounded-degree relational databases with local (oracle-style) access.
 
-A database stores, per relation, a lexicographically sorted tuple list plus an
-incidence index mapping each element to the tuples containing it.  All reads
-used by the rest of the package go through that index, so any consumer only
-ever touches local parts of the database: the j-th tuple of relation R
-containing element i, the Gaifman neighbours of an element, balls of bounded
-radius.  The relations and indexes never change after construction; the one
-field that does is ``probes``, a plain counter of incidence reads used by the
-delay instrumentation.  A database shared between threads answers correctly,
-but its probe count mixes their reads.
+A database holds each relation twice: as a lexicographically sorted tuple
+list and as one int64 array of shape (m, arity), plus CSR arrays built
+vectorized at construction: per relation, the positions of the tuples
+containing each element, and across relations, each element's Gaifman
+neighbours.  The scalar readers (``oracle``, ``incident_tuples``,
+``neighbours``, ``gaifman_ball``, ``induced_subdb``) touch only local parts
+of these arrays: the j-th tuple of relation R containing element i, the
+Gaifman neighbours of an element, balls of bounded radius.  Batched readers
+(``neighborhoods.extract_element_neighbourhoods``) gather the same entries
+for many elements in one pass.  The arrays never change after construction;
+the one field that does is ``probes``, a plain counter of incidence reads
+used by the delay instrumentation.
 
-The domain is always [1, n].  An undirected graph is modelled as a binary
-relation flagged ``symmetric``: each edge is stored once as a sorted pair, the
-incidence index exposes it from both endpoints, and isomorphism treats the
-pair as unordered.  This keeps the degree of a vertex equal to its number of
-incident edges.
+The domain is always [1, n], with n at most ``MAX_DOMAIN`` so that a pair of
+elements packs into one int64 key.  An undirected graph is modelled as a
+binary relation flagged ``symmetric``: each edge is stored once as a sorted
+pair, the incidence index exposes it from both endpoints, and isomorphism
+treats the pair as unordered.  This keeps the degree of a vertex equal to its
+number of incident edges.
 
 Database files and query blocks share one tuple-line reader,
 ``read_tuple_lines``, and its inverse ``write_tuple_lines``; ``Database`` alone
@@ -24,12 +28,16 @@ duplicates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
     DegreeExceeded,
+    DomainTooLarge,
     ElementOutOfRange,
     IndexOutOfRange,
     ParseError,
@@ -119,16 +127,84 @@ def _normalize(rel: Relation, tup: Tuple_) -> Tuple_:
     return tup
 
 
-class Database:
-    """Bounded-degree database over a fixed schema; only ``probes`` changes.
+# every pair of elements packs into one int64 key, (n + 1) * a + b
+MAX_DOMAIN = math.isqrt(2 ** 63 - 1) - 1
 
-    ``tuples[i]`` is the sorted tuple list of relation ``i``;
-    ``incidence[i][a]`` lists, in the same order, the indices of the tuples of
-    relation ``i`` that contain element ``a``.  ``degrees[a]`` counts tuples
-    containing ``a`` across all relations and never exceeds ``degree_bound``.
+
+def _relation_rows(rel: Relation, tups: Iterable[Tuple_],
+                   n: int) -> tuple[Optional[np.ndarray], tuple[Tuple_, ...]]:
+    """A relation's tuples, sorted and duplicate-free, as an int64 array and a tuple list.
+
+    Symmetric pairs are stored in ascending order; the list reuses the given
+    tuple objects wherever that order holds.  Raises the error of the first
+    offending tuple in input order: a wrong arity, then an element outside
+    [1, n], then a symmetric self-loop.  Returns ``(None, ())`` when every
+    tuple is valid but some element does not fit int64, which only a domain
+    too large to index admits.
+    """
+    tups = [tuple(t) for t in tups]
+    try:
+        arr = np.array(tups, dtype=np.int64) if tups else np.empty((0, rel.arity), np.int64)
+    except (OverflowError, TypeError, ValueError):
+        arr = None
+    if (arr is None or arr.shape[1:] != (rel.arity,) or ((arr < 1) | (arr > n)).any()
+            or (rel.symmetric and (arr[:, 0] == arr[:, 1]).any())):
+        for t in tups:
+            if len(t) != rel.arity:
+                raise ArityMismatch(f"relation {rel.name}: tuple {t} has arity {len(t)}")
+            for e in t:
+                if not (1 <= e <= n):
+                    raise ElementOutOfRange(f"relation {rel.name}: element {e} outside [1, {n}]")
+            _normalize(rel, t)
+        return None, ()
+    if rel.symmetric:
+        swapped = arr[:, 0] > arr[:, 1]
+        arr = np.sort(arr, axis=1)
+    order = np.lexsort(arr.T[::-1])  # stable: the first of equal tuples stays
+    arr = arr[order]
+    if len(arr) > 1:
+        first = np.concatenate(([True], (arr[1:] != arr[:-1]).any(axis=1)))
+        arr, order = arr[first], order[first]
+    kept = map(tups.__getitem__, order.tolist())
+    if rel.symmetric:
+        kept = ((t[1], t[0]) if swap else t for t, swap in zip(kept, swapped[order].tolist()))
+    return arr, tuple(kept)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by one sort; numpy's hash-based unique
+    is over ten times slower on many distinct int64 keys."""
+    keys = keys.copy()
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+
+
+def _csr(keys: np.ndarray, n: int) -> np.ndarray:
+    """Offsets of a CSR index over [0, n] whose entries are grouped by ``keys``."""
+    ptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n + 1), out=ptr[1:])
+    return ptr
+
+
+class Database:
+    """Bounded-degree database over a fixed schema, held in read-only arrays.
+
+    ``tuples[i]`` is the sorted tuple list of relation ``i`` and ``rows[i]``
+    the same tuples as one int64 array of shape (m, arity).  Element ``a``'s
+    entries in a CSR pair ``(ptr, values)`` are ``values[ptr[a]:ptr[a + 1]]``:
+
+    * ``incidence[i]`` lists, ascending, the positions in ``tuples[i]`` of the
+      tuples that contain ``a``;
+    * ``adjacency`` lists, ascending, ``a``'s Gaifman neighbours: the other
+      elements of the tuples that contain it.
+
+    ``degrees[a]`` counts tuples containing ``a`` across all relations and
+    never exceeds ``degree_bound``.  Everything is built vectorized in
+    ``__init__``; only ``probes`` changes afterwards.
     """
 
-    __slots__ = ("schema", "n", "degree_bound", "tuples", "incidence", "degrees", "probes")
+    __slots__ = ("schema", "n", "degree_bound", "tuples", "rows", "incidence", "adjacency",
+                 "degrees", "probes", "_incidence_views", "_adjacency_views", "_degree_view")
 
     def __init__(self, schema: Schema, n: int, degree_bound: int,
                  tuples_by_rel: Sequence[Iterable[Tuple_]]):
@@ -141,34 +217,56 @@ class Database:
         self.degree_bound = degree_bound
         self.probes = 0  # incidence probes, for delay instrumentation only
 
-        clean: list[tuple[Tuple_, ...]] = []
-        for rel, tups in zip(schema.relations, tuples_by_rel):
-            seen = set()
-            for t in tups:
-                t = tuple(t)
-                if len(t) != rel.arity:
-                    raise ArityMismatch(f"relation {rel.name}: tuple {t} has arity {len(t)}")
-                for e in t:
-                    if not (1 <= e <= n):
-                        raise ElementOutOfRange(f"relation {rel.name}: element {e} outside [1, {n}]")
-                seen.add(_normalize(rel, t))
-            clean.append(tuple(sorted(seen)))
-        self.tuples: tuple[tuple[Tuple_, ...], ...] = tuple(clean)
+        checked = [_relation_rows(rel, tups, n)
+                   for rel, tups in zip(schema.relations, tuples_by_rel)]
+        if n > MAX_DOMAIN:
+            raise DomainTooLarge(f"domain {n} is too large to index (at most {MAX_DOMAIN})")
+        self.tuples: tuple[tuple[Tuple_, ...], ...] = tuple(tups for _, tups in checked)
+        try:
+            self._build_index([arr for arr, _ in checked])
+        except MemoryError:
+            raise DomainTooLarge(f"domain {n} is too large to index in memory") from None
+        over = np.flatnonzero(self.degrees > degree_bound)
+        if over.size:
+            a = int(over[0])
+            raise DegreeExceeded(a, int(self.degrees[a]), degree_bound)
 
-        degrees = [0] * (n + 1)
-        incidence: list[dict[int, list[int]]] = []
-        for rel_idx, tups in enumerate(self.tuples):
-            index: dict[int, list[int]] = {}
-            for pos, t in enumerate(tups):
-                for e in set(t):
-                    index.setdefault(e, []).append(pos)
-                    degrees[e] += 1
-            incidence.append(index)
-        self.incidence: tuple[dict[int, list[int]], ...] = tuple(incidence)
+    def _build_index(self, rows: list[np.ndarray]) -> None:
+        n = self.n
+        degrees = np.zeros(n + 1, dtype=np.int64)
+        incidence = []
+        heads, tails = [], []
+        for arr in rows:
+            arity = arr.shape[1]
+            # an element's first column in its tuple: the incidence lists each
+            # (element, tuple) once
+            first = np.ones(arr.shape, dtype=bool)
+            for j in range(1, arity):
+                for i in range(j):
+                    first[:, j] &= arr[:, j] != arr[:, i]
+            elements = arr[first]
+            order = np.argsort(elements, kind="stable")
+            incidence.append((_csr(elements, n), np.nonzero(first)[0][order]))
+            degrees += np.bincount(elements, minlength=n + 1)
+            for i in range(arity):
+                for j in range(arity):
+                    if i != j:
+                        heads.append(arr[:, i])
+                        tails.append(arr[:, j])
+        head = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
+        tail = np.concatenate(tails) if tails else np.empty(0, dtype=np.int64)
+        keep = head != tail
+        head, tail = np.divmod(sorted_unique(head[keep] * (n + 1) + tail[keep]), n + 1)
+        self.rows = tuple(rows)
+        self.incidence = tuple(incidence)
+        self.adjacency = (_csr(head, n), tail)
         self.degrees = degrees
-        for a in range(1, n + 1):
-            if degrees[a] > degree_bound:
-                raise DegreeExceeded(a, degrees[a], degree_bound)
+        for arr in (*rows, *(a for pair in incidence for a in pair), *self.adjacency, degrees):
+            arr.flags.writeable = False
+        # the scalar readers index memoryviews, which return Python ints
+        self._incidence_views = tuple((memoryview(p), memoryview(v)) for p, v in incidence)
+        self._adjacency_views = tuple(memoryview(a) for a in self.adjacency)
+        self._degree_view = memoryview(degrees)
 
     # -- oracle access -----------------------------------------------------
 
@@ -186,34 +284,34 @@ class Database:
             raise IndexOutOfRange(f"tuple rank {j} outside [1, {self.degree_bound}]")
         rel_idx = self.schema.by_name[rel_name]
         self.probes += 1
-        positions = self.incidence[rel_idx].get(i)
-        if positions is None or len(positions) < j:
+        ptr, positions = self._incidence_views[rel_idx]
+        if ptr[i + 1] - ptr[i] < j:
             return None
-        return self.tuples[rel_idx][positions[j - 1]]
+        return self.tuples[rel_idx][positions[ptr[i] + j - 1]]
 
     def incident_tuples(self, a: int) -> Iterator[tuple[int, Tuple_]]:
-        """Yield (relation index, tuple) for every tuple containing ``a``.
+        """Yield (relation index, tuple) for every tuple containing ``a`` in [1, n].
 
         Equivalent to probing the oracle with j = 1..deg for each relation;
         the probe counter is charged accordingly.
         """
-        for rel_idx in range(len(self.schema.relations)):
-            positions = self.incidence[rel_idx].get(a, ())
-            self.probes += len(positions) + 1
-            for pos in positions:
-                yield rel_idx, self.tuples[rel_idx][pos]
+        for rel_idx, (ptr, positions) in enumerate(self._incidence_views):
+            lo, hi = ptr[a], ptr[a + 1]
+            self.probes += hi - lo + 1
+            tups = self.tuples[rel_idx]
+            for pos in positions[lo:hi]:
+                yield rel_idx, tups[pos]
 
     def neighbours(self, a: int) -> set[int]:
-        out = set()
-        for _, t in self.incident_tuples(a):
-            out.update(t)
-        out.discard(a)
-        return out
+        """Gaifman neighbours of ``a`` in [1, n], charged as ``incident_tuples``."""
+        ptr, adjacent = self._adjacency_views
+        self.probes += self._degree_view[a] + len(self.schema.relations)
+        return set(adjacent[ptr[a]:ptr[a + 1]])
 
     def degree(self, a: int) -> int:
         if not (1 <= a <= self.n):
             raise IndexOutOfRange(f"element {a} outside [1, {self.n}]")
-        return self.degrees[a]
+        return self._degree_view[a]
 
 
 def gaifman_ball(db: Database, elements: Sequence[int], radius: int) -> set[int]:
@@ -232,10 +330,9 @@ def gaifman_ball(db: Database, elements: Sequence[int], radius: int) -> set[int]
     for _ in range(radius):
         nxt = set()
         for a in frontier:
-            for b in db.neighbours(a):
-                if b not in ball:
-                    nxt.add(b)
-        ball.update(nxt)
+            nxt |= db.neighbours(a)
+        nxt -= ball
+        ball |= nxt
         frontier = nxt
         if not frontier:
             break
@@ -307,22 +404,26 @@ def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence
         order = list(order)
         if set(order) != set(members):
             raise ParseError("order must enumerate exactly the member set")
+    if order and not (1 <= min(order) and max(order) <= db.n):
+        raise ElementOutOfRange(f"members outside [1, {db.n}]")
     local = {e: i + 1 for i, e in enumerate(order)}
     rel_tuples: list[tuple[Tuple_, ...]] = []
-    member_set = set(order)
     for rel_idx, rel in enumerate(db.schema.relations):
-        keep = set()
         # walk the incidence lists of members only; no global scan
+        ptr, positions = db._incidence_views[rel_idx]
+        tups = db.tuples[rel_idx]
         seen_positions = set()
+        keep = []  # distinct tuples map to distinct local tuples
         for e in order:
-            for pos in db.incidence[rel_idx].get(e, ()):
+            for pos in positions[ptr[e]:ptr[e + 1]]:
                 if pos in seen_positions:
                     continue
                 seen_positions.add(pos)
-                t = db.tuples[rel_idx][pos]
-                if all(c in member_set for c in t):
-                    mapped = tuple(local[c] for c in t)
-                    keep.add(_normalize(rel, mapped))
+                mapped = tuple(map(local.get, tups[pos]))
+                if None not in mapped:
+                    keep.append(mapped)
+        if rel.symmetric:
+            keep = [(a, b) if a < b else (b, a) for a, b in keep]
         rel_tuples.append(tuple(sorted(keep)))
     return Fragment(db.schema, len(order), tuple(rel_tuples))
 

@@ -23,6 +23,10 @@ class ElementOutOfRange(ParseError):
     """A tuple component lies outside the declared domain [1, n]."""
 
 
+class DomainTooLarge(ParseError):
+    """The declared domain [1, n] is too large for the database's arrays."""
+
+
 class DegreeExceeded(ApproxEnumError):
     """An element participates in more tuples than the degree bound allows."""
 

@@ -25,9 +25,11 @@ backtracking prunable row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .db import Database, Fragment, gaifman_ball, induced_subdb
+import numpy as np
+
+from .db import Database, Fragment, gaifman_ball, induced_subdb, sorted_unique
 
 Row = tuple  # one position's sorted tuple of encoded relation tuples
 
@@ -80,6 +82,91 @@ def extract_neighbourhood(db: Database, abar: Sequence[int], radius: int) -> Nei
     frag = induced_subdb(db, ball, order=order)
     local = {e: i + 1 for i, e in enumerate(order)}
     return Neighbourhood(frag, tuple(local[a] for a in abar), radius)
+
+
+def _csr_gather(ptr: np.ndarray, values: np.ndarray,
+                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every CSR entry of every key: (index into ``keys``, entry), key by key."""
+    lo = ptr[keys]
+    counts = ptr[keys + 1] - lo
+    source = np.arange(keys.size).repeat(counts)
+    ends = counts.cumsum()
+    offsets = np.arange(ends[-1] if ends.size else 0) + (lo - ends + counts).repeat(counts)
+    return source, values[offsets]
+
+
+def _locate(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(found mask, index) of each key in a sorted, non-empty key array."""
+    index = sorted_keys.searchsorted(keys)
+    np.minimum(index, sorted_keys.size - 1, out=index)
+    return sorted_keys[index] == keys, index
+
+
+def extract_element_neighbourhoods(db: Database, elements: np.ndarray,
+                                   radius: int) -> Iterator[tuple[int, tuple]]:
+    """Radius-``radius`` neighbourhoods of many single elements in one batched pass.
+
+    ``elements`` holds distinct elements of [1, n].  Yields, element by
+    element, the fragment size and per-relation tuples that
+    ``extract_neighbourhood(db, (e,), radius)`` builds, under the same local
+    ids, and charges ``db.probes`` as its BFS would.  Balls are rows of
+    (owner, element) keys packed into int64 and kept sorted, so each ball
+    lists its elements ascending.
+    """
+    n1 = db.n + 1
+    centres = np.asarray(elements, dtype=np.int64)
+    count = centres.size
+    if not count:
+        return
+    owner = np.arange(count, dtype=np.int64)
+    ptr, adjacent = db.adjacency
+    relations = len(db.schema.relations)
+    ball = owner * n1 + centres
+    front_owner, front = owner, centres
+    probes = 0
+    for _ in range(radius):
+        if not front.size:
+            break
+        probes += int(db.degrees[front].sum()) + relations * front.size
+        source, reached = _csr_gather(ptr, adjacent, front)
+        keys = sorted_unique(front_owner[source] * n1 + reached)
+        keys = keys[~_locate(ball, keys)[0]]
+        ball = np.concatenate((ball, keys))
+        ball.sort()
+        front_owner, front = np.divmod(keys, n1)
+    db.probes += probes
+
+    # local ids: the centre is 1, the rest of its ball follows ascending
+    ball_owner, members = np.divmod(ball, n1)
+    sizes = np.bincount(ball_owner, minlength=count)
+    starts = sizes.cumsum() - sizes
+    centre_at = ball.searchsorted(owner * n1 + centres)
+    index = np.arange(ball.size)
+    local = index - starts[ball_owner] + 1 + (index < centre_at[ball_owner])
+    local[centre_at] = 1
+
+    per_relation = []
+    for rel, rows, (inc_ptr, positions) in zip(db.schema.relations, db.rows, db.incidence):
+        source, pos = _csr_gather(inc_ptr, positions, members)
+        tups = rows[pos]
+        # each tuple once, from its least element; kept if all of it is in the ball
+        keep = members[source] == tups.min(axis=1)
+        tuple_owner = ball_owner[source]
+        mapped = np.empty_like(tups)
+        for j in range(rel.arity):
+            found, at = _locate(ball, tuple_owner * n1 + tups[:, j])
+            keep &= found
+            mapped[:, j] = local[at]
+        tuple_owner, mapped = tuple_owner[keep], mapped[keep]
+        if rel.symmetric:
+            mapped.sort(axis=1)
+        order = np.lexsort((*mapped.T[::-1], tuple_owner))
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tuple_owner, minlength=count), out=bounds[1:])
+        per_relation.append((list(map(tuple, mapped[order].tolist())), bounds.tolist()))
+
+    for i, size in enumerate(sizes.tolist()):
+        yield size, tuple([tuple(tups[bounds[i]:bounds[i + 1]]) for tups, bounds in per_relation])
 
 
 def _refined_keys(frag: Fragment, pinned: list[int]) -> list[int]:
@@ -346,6 +433,24 @@ class TypeRegistry:
 
     def type_of(self, db: Database, abar: Sequence[int], radius: int) -> CanonicalType:
         return self.canonicalize(extract_neighbourhood(db, abar, radius))
+
+    def element_types(self, db: Database, elements: np.ndarray, radius: int) -> list[int]:
+        """Type ids of distinct single elements, from one batched extraction.
+
+        One raw-cache lookup per element, in the given order; only raw misses
+        are canonicalized, so types are interned as ``type_of`` called element
+        by element would intern them.
+        """
+        schema = db.schema
+        signature = schema.signature()
+        out = []
+        for size, tuples in extract_element_neighbourhoods(db, elements, radius):
+            # the key _raw_signature builds for this neighbourhood
+            t = self._raw_cache.get((radius, (1,), size, signature, tuples))
+            if t is None:
+                t = self.canonicalize(Neighbourhood(Fragment(schema, size, tuples), (1,), radius))
+            out.append(t.type_id)
+        return out
 
     # -- derived types -----------------------------------------------------
 

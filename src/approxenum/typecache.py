@@ -5,8 +5,11 @@ this tuple", evaluated many times against one immutable database.  The cache
 exploits two structural facts:
 
 * the type of a single element is a pure function of the element, so it can
-  sit in a flat array filled on first touch (the vector variant services the
-  engine's bulk rounds);
+  sit in a flat array filled on first touch.  ``element_types_many`` serves
+  the engine's bulk rounds and the sampling tester: it types all of a call's
+  misses in one batched extraction over the database's CSR arrays
+  (``TypeRegistry.element_types``), in ascending element order, so types are
+  interned as one ``element_type`` call per miss would intern them;
 * when the components of a tuple are pairwise far apart (distance greater
   than 2r+1, so their balls neither meet nor touch through a tuple), the
   tuple's type is determined by the component types alone, via the disjoint
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .db import Database, gaifman_ball
+from .db import Database, gaifman_ball, sorted_unique
 from .errors import ElementOutOfRange, ParameterError
 from .neighborhoods import TypeRegistry, extract_neighbourhood
 
@@ -62,7 +65,10 @@ def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> l
 
 
 class TypeCache:
-    """Lazy per-database caches keyed by (element, radius)."""
+    """Lazy per-database caches keyed by (element, radius).
+
+    Element lookups reject elements outside [1, n] with ``ElementOutOfRange``.
+    """
 
     def __init__(self, db: Database, registry: TypeRegistry):
         self.db = db
@@ -98,7 +104,12 @@ class TypeCache:
             self._etype[radius] = arr
         return arr
 
+    def _check_element(self, element: int) -> None:
+        if not 1 <= element <= self.db.n:
+            raise ElementOutOfRange(f"element {element} outside [1, {self.db.n}]")
+
     def element_type(self, element: int, radius: int) -> int:
+        self._check_element(element)
         arr = self._etype_array(radius)
         tid = arr[element]
         if tid < 0:
@@ -107,13 +118,15 @@ class TypeCache:
         return int(tid)
 
     def element_types_many(self, elements: np.ndarray, radius: int) -> np.ndarray:
-        """Vectorized element-type lookup, computing misses on first touch."""
+        """Vectorized element-type lookup; a call's misses are typed in one batch."""
+        elements = np.asarray(elements, dtype=np.int64)
+        if elements.size and (elements.min() < 1 or elements.max() > self.db.n):
+            self._check_element(int(elements[(elements < 1) | (elements > self.db.n)][0]))
         arr = self._etype_array(radius)
         out = arr[elements]
-        missing = np.unique(elements[out < 0])
-        for e in missing:
-            self.element_type(int(e), radius)
+        missing = sorted_unique(elements[out < 0])
         if missing.size:
+            arr[missing] = self.registry.element_types(self.db, missing, radius)
             out = arr[elements]
         return out
 
@@ -123,11 +136,7 @@ class TypeCache:
         """Type id of a tuple's radius-r neighbourhood with ordered centres."""
         btuple = tuple(btuple)
         if len(btuple) == 1:
-            # element_type indexes its array unchecked: a negative element wraps around
-            (element,) = btuple
-            if not 1 <= element <= self.db.n:
-                raise ElementOutOfRange(f"element {element} outside [1, {self.db.n}]")
-            return self.element_type(element, radius)
+            return self.element_type(btuple[0], radius)
         memo_key = (btuple, radius)
         hit = self._tuple_memo.get(memo_key)
         if hit is not None:

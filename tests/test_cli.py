@@ -345,12 +345,24 @@ def test_split_command_follows_type_components(tmp_path):
 
 @pytest.mark.parametrize("tup, r", [("99", "2"), ("1", "-1"), ("", "2")])
 def test_split_rejects_bad_inputs(workdir, tup, r):
-    # a single-element tuple never reaches a ball, so TypeCache.tuple_type checks
+    # a single-element tuple never reaches a ball, so TypeCache.element_type checks
     # its range; the CLI's own checks reject the radius and the empty tuple
     code, out, err = run_cli(["split", "--tuple", tup, "--r", r,
                               "--schema", str(workdir / "schema.txt"),
                               "--db", str(workdir / "db.txt"), "--d", "3"])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_domain_too_large_exits_2(workdir, tmp_path):
+    # a domain the database's int64 arrays cannot index is one error line, not
+    # a MemoryError traceback
+    (tmp_path / "db.txt").write_text("domain 1000000000000000\n")
+    code, out, err = run_cli(["count", "--seed", "1", "--schema", str(workdir / "schema.txt"),
+                              "--db", str(tmp_path / "db.txt"), "--d", "3",
+                              "--query", str(workdir / "demo.query")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: domain 1000000000000000 is too large to index (at most 3037000498)"]
 
 
 @pytest.mark.parametrize("keyword", ["HANF", "CLAUSE", "END"])

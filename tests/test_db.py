@@ -17,6 +17,7 @@ from approxenum.db import (
 from approxenum.errors import (
     ArityMismatch,
     DegreeExceeded,
+    DomainTooLarge,
     ElementOutOfRange,
     IndexOutOfRange,
     ParseError,
@@ -159,6 +160,13 @@ def test_induced_star(pair_a_db):
     assert len(frag.tuples[0]) == 3
 
 
+@pytest.mark.parametrize("members", [{0, 1}, {1, -1}, {1, 9}])
+def test_induced_rejects_members_outside_domain(pair_a_db, members):
+    # the incidence offsets are indexed by element: -1 would read element 8's
+    with pytest.raises(ElementOutOfRange):
+        induced_subdb(pair_a_db, members)
+
+
 def test_symmetric_stored_once():
     text = "domain 3\nE 2 1\nE 1 2\n"
     _, db = load_database(SCHEMA_TEXT, text, 3)
@@ -212,3 +220,70 @@ def test_query_keywords_cannot_name_relations(keyword):
         Schema([Relation(keyword, 2, symmetric=True)])
     with pytest.raises(ParseError, match=message):
         load_database(schema_text, f"domain 2\n{keyword} 1 2\n", 3)
+
+
+def test_domain_too_large_to_index():
+    # the incidence and adjacency offsets hold n + 2 int64 entries each
+    with pytest.raises(DomainTooLarge, match=r"^domain 1000000000000000 is too large to index"):
+        load_database(SCHEMA_TEXT, "domain 1000000000000000\n", 3)
+    # tuple errors are still found first
+    with pytest.raises(ElementOutOfRange):
+        load_database(SCHEMA_TEXT, "domain 1000000000000000\nE 1 10000000000000000\n", 3)
+
+
+MALFORMED = [
+    # (tuples per relation of U 1 / E 2 symmetric / R 2, error, message)
+    ([[], [(1, 2), (2, 99999999999999999999999)], []], ElementOutOfRange,
+     "relation E: element 99999999999999999999999 outside [1, 6]"),
+    ([[], [(1, 2), (-1, 2)], []], ElementOutOfRange, "relation E: element -1 outside [1, 6]"),
+    ([[], [(3, 3), (1, 9)], []], ParseError,
+     "relation E: symmetric relations are irreflexive, got (3, 3)"),
+    ([[], [(1, 9), (3, 3)], []], ElementOutOfRange, "relation E: element 9 outside [1, 6]"),
+    ([[], [(2, 2, 2), (1, 9)], []], ArityMismatch, "relation E: tuple (2, 2, 2) has arity 3"),
+    ([[(7,)], [(3, 3)], []], ElementOutOfRange, "relation U: element 7 outside [1, 6]"),
+    ([[], [(1, 2)], [(2, 2), (0, 1)]], ElementOutOfRange, "relation R: element 0 outside [1, 6]"),
+    ([[(2,), (1,)], [(1, 2), (2, 3)], [(2, 2)]], DegreeExceeded,
+     "element 2 has degree 4, exceeding bound 3"),
+]
+
+
+@pytest.mark.parametrize("tuples, error, message", MALFORMED)
+def test_first_offending_tuple_named(tuples, error, message):
+    schema = Schema([Relation("U", 1), Relation("E", 2, symmetric=True), Relation("R", 2)])
+    with pytest.raises(error) as info:
+        Database(schema, 6, 3, tuples)
+    assert str(info.value) == message
+
+
+def test_columnar_index_matches_tuples():
+    schema = Schema([Relation("U", 1), Relation("E", 2, symmetric=True), Relation("R", 2),
+                     Relation("T", 3)])
+    db = Database(schema, 9, 4, [[(3,), (1,)], [(4, 2), (2, 1), (1, 2)],
+                                 [(5, 5), (5, 1)], [(2, 7, 2), (8, 9, 6)]])
+    assert db.tuples == (((1,), (3,)), ((1, 2), (2, 4)), ((5, 1), (5, 5)),
+                         ((2, 7, 2), (8, 9, 6)))
+    for rel_idx, tups in enumerate(db.tuples):
+        assert db.rows[rel_idx].tolist() == [list(t) for t in tups]
+        ptr, positions = db.incidence[rel_idx]
+        for a in range(1, db.n + 1):
+            want = [p for p, t in enumerate(tups) if a in t]
+            assert positions[ptr[a]:ptr[a + 1]].tolist() == want
+    ptr, adjacent = db.adjacency
+    for a in range(1, db.n + 1):
+        want = sorted({c for tups in db.tuples for t in tups if a in t for c in t} - {a})
+        assert adjacent[ptr[a]:ptr[a + 1]].tolist() == want
+        assert db.degree(a) == sum(a in t for tups in db.tuples for t in tups)
+    assert db.neighbours(2) == {1, 4, 7}
+    assert not db.degrees.flags.writeable and not db.rows[0].flags.writeable
+
+
+def test_scalar_readers_charge_probes(pair_a_db):
+    # one probe per oracle call; incident_tuples and neighbours charge
+    # (tuples found + 1) per relation
+    probes = pair_a_db.probes
+    pair_a_db.oracle("E", 1, 1)
+    assert pair_a_db.probes == probes + 1
+    assert sorted(t for _, t in pair_a_db.incident_tuples(1)) == [(1, 2), (1, 3), (1, 4)]
+    assert pair_a_db.probes == probes + 5
+    assert pair_a_db.neighbours(1) == {2, 3, 4}
+    assert pair_a_db.probes == probes + 9

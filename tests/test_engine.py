@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,9 @@ from approxenum.engine import (
 )
 from approxenum.errors import MissingTester, NotLocal, ParameterError
 from approxenum.exact import answer_set
+from approxenum.neighborhoods import TypeRegistry
 from approxenum.query import Clause, QueryNF, SphereAtom
+from approxenum.services import membership_answer, membership_preprocess
 from approxenum.testers import ExactClauseTester, make_tester_factory
 from approxenum.typecache import TypeCache
 
@@ -663,3 +667,57 @@ def test_each_admitted_leader_is_searched_once(registry, monkeypatch, mode):
     assert [abar for abar, _ in searches] == checked
     assert not any(from_pop for _, from_pop in searches)
     assert memberships[0]._expanded == {}
+
+
+def _session(db, seed):
+    """One session on its own registry and cache: two enumeration modes and
+    membership probes, as the streams and verdicts they produce."""
+    registry = TypeRegistry()
+    cache = TypeCache(db, registry)
+    local, general = [], []
+    enumerate_query(db, cherry_leaf_query(registry), "local-strengthened", 0.05, seed,
+                    local.append, cache, expansion_cap=4)
+    demo = figures.demo_query(registry)
+    enumerate_query(db, demo, "general-strengthened", 0.05, seed, general.append, cache,
+                    epsilon=0.2, tester="sampling")
+    index = membership_preprocess(db, demo, 0.2, seed, cache=cache, tester="sampling")
+    rng = random.Random(seed)
+    # uniform pairs and root/pendant pairs of one copy, which are answers
+    pairs = [(rng.randint(1, db.n), rng.randint(1, db.n)) for _ in range(200)]
+    pairs += [(8 * j + 1, 8 * j + 4) for j in rng.sample(range(db.n // 8), 100)]
+    verdicts = [membership_answer(index, pair) for pair in pairs]
+    return local, general, verdicts
+
+
+def test_threads_share_one_database():
+    # four threads, each with its own registry and cache, read one Database;
+    # each produces what a sequential run of its seed produces
+    db = figures.pair_a_copies(300)
+    seeds = [11, 12, 13, 14]
+    results, errors = {}, []
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def run(seed):
+        try:
+            barrier.wait()
+            results[seed] = _session(db, seed)
+        except Exception as exc:  # re-raised in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-session
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    if errors:
+        raise errors[0]
+    assert not any(t.is_alive() for t in threads)
+    for seed in seeds:
+        local, general, verdicts = _session(db, seed)
+        assert local and general and any(verdicts)
+        assert results[seed] == (local, general, verdicts)

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxenum import figures
-from approxenum.db import Database
+from approxenum.db import Database, Relation, Schema
 from approxenum.errors import ElementOutOfRange
 from approxenum.neighborhoods import TypeRegistry, extract_neighbourhood
 from approxenum.typecache import TypeCache
@@ -193,12 +194,79 @@ def test_tuple_type_compose_agrees(registry, rng):
 
 @pytest.mark.parametrize("element", [0, -1, -24, 25])
 def test_single_element_tuple_type_checks_range(registry, element):
-    # with element types cached, a negative index would wrap around the array
+    # with element types cached, a negative index would wrap around the array;
+    # a batch names its first element outside the domain
     cache = TypeCache(figures.pair_a_copies(3), registry)
     for e in (1, 24):
         cache.tuple_type((e,), 1)
-    with pytest.raises(ElementOutOfRange, match=rf"^element {element} outside \[1, 24\]$"):
+    message = rf"^element {element} outside \[1, 24\]$"
+    with pytest.raises(ElementOutOfRange, match=message):
         cache.tuple_type((element,), 1)
+    with pytest.raises(ElementOutOfRange, match=message):
+        cache.element_type(element, 1)
+    with pytest.raises(ElementOutOfRange, match=message):
+        cache.element_types_many(np.array([3, element, -1]), 1)
+
+
+MIXED = Schema([Relation("U", 1), Relation("E", 2, symmetric=True), Relation("R", 2),
+                Relation("T", 3)])
+
+
+def mixed_db(rng: random.Random, n: int, d: int = 3) -> Database:
+    """Random bounded-degree database over unary, symmetric, plain binary
+    (with (a, a) tuples) and ternary relations; tuple lists unsorted, symmetric
+    pairs in either order."""
+    degrees = [0] * (n + 1)
+    chosen = [set() for _ in MIXED.relations]
+    for _ in range(3 * n):
+        rel_idx = rng.randrange(len(MIXED.relations))
+        rel = MIXED.relations[rel_idx]
+        tup = tuple(rng.randint(1, n) for _ in range(rel.arity))
+        if rel.name == "R" and rng.random() < 0.3:
+            tup = (tup[0], tup[0])
+        key = tuple(sorted(tup)) if rel.symmetric else tup
+        if (rel.symmetric and tup[0] == tup[1]) or key in chosen[rel_idx]:
+            continue
+        if any(degrees[e] >= d for e in set(tup)):
+            continue
+        chosen[rel_idx].add(key)
+        for e in set(tup):
+            degrees[e] += 1
+    tuples = []
+    for rel, tups in zip(MIXED.relations, chosen):
+        tups = [t[::-1] if rel.symmetric and rng.random() < 0.5 else t for t in tups]
+        rng.shuffle(tups)
+        tuples.append(tups)
+    return Database(MIXED, n, d, tuples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1 << 30), st.integers(1, 30), st.sampled_from([0, 1, 2]))
+def test_batched_element_types_match_scalar(seed, n, r):
+    # one batched pass per call gives the scalar path's types, interning order,
+    # raw-cache keys and probe charges
+    rng = random.Random(seed)
+    db = mixed_db(rng, n)
+    batched = TypeCache(db, TypeRegistry())
+    scalar = TypeCache(db, TypeRegistry())
+    first = [rng.randint(1, n) for _ in range(rng.randint(1, 2 * n))]
+    second = first[: len(first) // 2] + [rng.randint(1, n) for _ in range(n)]
+    probes = db.probes
+    assert batched.element_types_many(np.empty(0, dtype=np.int64), r).size == 0
+    assert db.probes == probes
+    for elements in (first, second):
+        probes = db.probes
+        got = batched.element_types_many(np.array(elements), r)
+        batched_probes, probes = db.probes - probes, db.probes
+        # the scalar path types a call's misses one by one, ascending
+        fresh = sorted(set(elements) - set(np.flatnonzero(scalar._etype_array(r) >= 0).tolist()))
+        for e in fresh:
+            scalar.element_type(e, r)
+        assert db.probes - probes == batched_probes
+        assert got.tolist() == [scalar.element_type(e, r) for e in elements]
+    assert list(batched.registry._raw_cache) == list(scalar.registry._raw_cache)
+    for e in set(second):
+        assert batched.element_type(e, r) == batched.tuple_type_direct((e,), r)
 
 
 def test_canonicalize_idempotent_on_representatives(registry, rng):
