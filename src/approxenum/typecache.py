@@ -1,23 +1,22 @@
 """Per-database caches for neighbourhood type lookups.
 
 Membership checks in the enumeration engine reduce to "what is the type of
-this tuple", evaluated many times against one immutable database.  The cache
-exploits two structural facts:
+this tuple", evaluated many times against one immutable database.  Each table
+is bounded by the database or its types, not by the number of lookups:
 
-* the type of a single element is a pure function of the element, so it can
-  sit in a flat array filled on first touch.  ``element_types_many`` serves
-  the engine's bulk rounds and the sampling tester: it types all of a call's
-  misses in one batched extraction over the database's CSR arrays
-  (``TypeRegistry.element_types``), in ascending element order, so types are
-  interned as one ``element_type`` call per miss would intern them;
-* when the components of a tuple are pairwise far apart (distance greater
-  than 2r+1, so their balls neither meet nor touch through a tuple), the
-  tuple's type is determined by the component types alone, via the disjoint
-  composition interned in the registry.
-
-``split_table`` serves the split search and the engine's memberships: per
-type set, the partitions of the target types into the components of their
-neighbourhoods, each with its targets and per-position element-type filters.
+* ``_etype``: per radius, one int64 array of n + 1 element types, filled on
+  first touch.  ``element_types_many`` types all of a call's misses in one
+  batched extraction over the CSR arrays (``TypeRegistry.element_types``), in
+  ascending element order, so types are interned as one ``element_type`` call
+  per miss would intern them;
+* ``_tuple_memo``: one entry per distinct single-group tuple, the only kind
+  that needs an extraction.  A tuple whose groups are pairwise far apart
+  (distance greater than 2r+1, so their balls neither meet nor touch through
+  a tuple) gets the disjoint composition of its groups' types, which the
+  registry memoizes by type, and adds no entry;
+* ``_splits``: one split table per (type set, arity), for the split search
+  and the engine's memberships;
+* ``type_counts``: one count per (type, radius), ``exact.count_type``'s memo.
 
 Everything here is semantically transparent: ``tuple_type`` agrees with
 extracting and canonicalizing the neighbourhood directly, which the test
@@ -40,13 +39,19 @@ def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> l
 
     Distinct groups have disjoint radius-r balls and no tuple spans them, so
     ``TypeCache.tuple_type`` composes the tuple's type from theirs; this
-    serves that test only.  A tuple's split is its type's ``partition``, which
+    serves that test only, with two uncached balls per pair, each charged to
+    ``Database.probes``.  A tuple's split is its type's ``partition``, which
     is finer when a tuple of arity 3 or more brings two centres within 2r+1
     without lying inside their balls.  Groups are ordered by smallest
     position; 0-based.
     """
+    db = cache.db
     k = len(btuple)
     parent = list(range(k))
+
+    def near(a: int, b: int) -> bool:
+        return a == b or not gaifman_ball(db, (a,), radius).isdisjoint(
+            gaifman_ball(db, (b,), radius + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -56,7 +61,7 @@ def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> l
 
     for i in range(k):
         for j in range(i + 1, k):
-            if find(i) != find(j) and cache.within_chain_distance(btuple[i], btuple[j], radius):
+            if find(i) != find(j) and near(btuple[i], btuple[j]):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(k):
@@ -65,7 +70,8 @@ def group_positions(cache: "TypeCache", btuple: Sequence[int], radius: int) -> l
 
 
 class TypeCache:
-    """Lazy per-database caches keyed by (element, radius).
+    """Lazy per-database tables of element types, single-group tuple types and
+    split tables, each bounded as the module docstring says.
 
     Element lookups reject elements outside [1, n] with ``ElementOutOfRange``.
     """
@@ -73,27 +79,10 @@ class TypeCache:
     def __init__(self, db: Database, registry: TypeRegistry):
         self.db = db
         self.registry = registry
-        self._balls: dict[tuple[int, int], frozenset[int]] = {}
         self._etype: dict[int, np.ndarray] = {}  # radius -> array of type ids (-1 unknown)
-        self._tuple_memo: dict[tuple, int] = {}
+        self._tuple_memo: dict[tuple, int] = {}  # single-group tuples only
         self._splits: dict[tuple[frozenset[int], int], dict[tuple, tuple]] = {}
         self.type_counts: dict[tuple[int, int], int] = {}  # exact.count_type's memo
-
-    # -- balls and distances -------------------------------------------------
-
-    def ball(self, element: int, radius: int) -> frozenset[int]:
-        key = (element, radius)
-        hit = self._balls.get(key)
-        if hit is None:
-            hit = frozenset(gaifman_ball(self.db, (element,), radius))
-            self._balls[key] = hit
-        return hit
-
-    def within_chain_distance(self, a: int, b: int, radius: int) -> bool:
-        """dist(a, b) <= 2*radius+1, tested with two cached balls."""
-        if a == b:
-            return True
-        return not self.ball(a, radius).isdisjoint(self.ball(b, radius + 1))
 
     # -- element types ---------------------------------------------------------
 
@@ -133,31 +122,36 @@ class TypeCache:
     # -- tuple types -----------------------------------------------------------
 
     def tuple_type(self, btuple: Sequence[int], radius: int) -> int:
-        """Type id of a tuple's radius-r neighbourhood with ordered centres."""
+        """Type id of a tuple's radius-r neighbourhood with ordered centres.
+
+        Far-apart groups compose without a memo entry; each group is a chain.
+        """
         btuple = tuple(btuple)
         if len(btuple) == 1:
             return self.element_type(btuple[0], radius)
-        memo_key = (btuple, radius)
-        hit = self._tuple_memo.get(memo_key)
+        hit = self._tuple_memo.get((btuple, radius))
         if hit is not None:
             return hit
         groups = group_positions(self, btuple, radius)
         if len(groups) == 1:
+            return self._chain_type(btuple, radius)
+        pattern = [0] * len(btuple)
+        comp_types = []
+        for gi, grp in enumerate(groups):
+            for pos in grp:
+                pattern[pos] = gi
+            sub = tuple(btuple[pos] for pos in grp)
+            comp_types.append(self.element_type(sub[0], radius) if len(sub) == 1
+                              else self._chain_type(sub, radius))
+        return self.registry.compose_disjoint(tuple(pattern), tuple(comp_types), radius)
+
+    def _chain_type(self, btuple: tuple[int, ...], radius: int) -> int:
+        """Memoized type of a tuple whose positions form one group."""
+        key = (btuple, radius)
+        tid = self._tuple_memo.get(key)
+        if tid is None:
             nb = extract_neighbourhood(self.db, btuple, radius)
-            tid = self.registry.canonicalize(nb).type_id
-        else:
-            pattern = [0] * len(btuple)
-            comp_types = []
-            for gi, grp in enumerate(groups):
-                for pos in grp:
-                    pattern[pos] = gi
-                sub = tuple(btuple[pos] for pos in grp)
-                if len(sub) == 1:
-                    comp_types.append(self.element_type(sub[0], radius))
-                else:
-                    comp_types.append(self.tuple_type(sub, radius))
-            tid = self.registry.compose_disjoint(tuple(pattern), tuple(comp_types), radius)
-        self._tuple_memo[memo_key] = tid
+            tid = self._tuple_memo[key] = self.registry.canonicalize(nb).type_id
         return tid
 
     def split_table(self, type_ids: frozenset[int], k: int) -> dict[tuple, tuple]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from approxenum import figures
 from approxenum.db import Database, Relation, Schema
 from approxenum.errors import ElementOutOfRange
 from approxenum.neighborhoods import TypeRegistry, extract_neighbourhood
-from approxenum.typecache import TypeCache
+from approxenum.typecache import TypeCache, group_positions
 
 
 # -- independent oracle: brute-force centre-respecting isomorphism ------------
@@ -181,15 +182,47 @@ def test_component_count_matches_bfs(registry, rng):
         assert t.component_count == comps
 
 
+EDGE_TERNARY = Schema([Relation("E", 2, symmetric=True), Relation("T", 3)])
+
+
 def test_tuple_type_compose_agrees(registry, rng):
-    # the composition fast path must agree with direct extraction
-    for _ in range(60):
-        db = random_graph_db(rng, 14)
+    # the composition fast path must agree with direct extraction, also for a
+    # chain of two or more positions inside a tuple of several groups
+    chains_in_composed = 0
+    for i in range(60):
+        if i % 2:
+            db = figures.random_bounded_db(14, 3, rng, tuple_target=10, schema=EDGE_TERNARY)
+        else:
+            db = random_graph_db(rng, 14)
         cache = TypeCache(db, registry)
-        k = rng.choice([2, 3])
         r = rng.choice([0, 1, 2])
-        abar = tuple(rng.randint(1, 14) for _ in range(k))
-        assert cache.tuple_type(abar, r) == cache.tuple_type_direct(abar, r)
+        for _ in range(10):
+            abar = tuple(rng.randint(1, 14) for _ in range(rng.choice([2, 3, 4])))
+            groups = group_positions(cache, abar, r)
+            chains_in_composed += len(groups) > 1 and max(map(len, groups)) > 1
+            assert cache.tuple_type(abar, r) == cache.tuple_type_direct(abar, r)
+    assert chains_in_composed >= 100
+
+
+def test_far_pairs_leave_no_state(registry):
+    # uniform pairs are nearly all far apart: their types compose from the
+    # element-type array and the registry's memo, and keep nothing per pair
+    db = figures.planted_isolated_db(20_000, 12_000, random.Random(1), 3)
+    cache = TypeCache(db, registry)
+    rng = random.Random(2)
+    cache.element_types_many(np.arange(1, db.n + 1), 2)
+    for _ in range(500):
+        cache.tuple_type((rng.randint(1, db.n), rng.randint(1, db.n)), 2)
+    pairs = [(rng.randint(1, db.n), rng.randint(1, db.n)) for _ in range(5000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = [cache.tuple_type(pair, 2) for pair in pairs]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 500_000
+    assert got == [cache.tuple_type_direct(pair, 2) for pair in pairs]
 
 
 @pytest.mark.parametrize("element", [0, -1, -24, 25])

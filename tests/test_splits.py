@@ -143,6 +143,15 @@ def test_equivalence_random_k3(registry, rng):
         exhaustive_equivalence(db, registry, ids, 3, r)
 
 
+def test_equivalence_k4_ternary(registry):
+    # four centres over a ternary relation: chains of one to four positions
+    db = Database(Schema([Relation("R", 3)]), 6, 3, [[(1, 2, 3), (3, 4, 5), (5, 6, 1)]])
+    by_count = types_by_component_count(TypeCache(db, registry), 4, 0)
+    assert set(by_count) == {1, 2, 3, 4}
+    ids = frozenset(tid for tids in by_count.values() for tid in sorted(tids)[:2])
+    exhaustive_equivalence(db, registry, ids, 4, 0)
+
+
 def test_strengthened_k3_emits_only_answers(registry, rng):
     db = figures.random_bounded_db(9, 3, rng, tuple_target=6)
     cache = TypeCache(db, registry)
