@@ -1,13 +1,13 @@
 """Bounded-degree relational databases with local (oracle-style) access.
 
-A database holds each relation twice: as a lexicographically sorted tuple
-list and as one int64 array of shape (m, arity), plus CSR arrays built
-vectorized at construction: per relation, the positions of the tuples
+A database holds each relation once, as one int64 array of shape (m, arity)
+whose rows are the relation's tuples in lexicographic order, plus CSR arrays
+built vectorized at construction: per relation, the positions of the tuples
 containing each element, and across relations, each element's Gaifman
-neighbours.  The scalar readers (``oracle``, ``incident_tuples``,
-``neighbours``, ``gaifman_ball``, ``induced_subdb``) touch only local parts
-of these arrays: the j-th tuple of relation R containing element i, the
-Gaifman neighbours of an element, balls of bounded radius.  Batched readers
+neighbours.  The scalar readers (``oracle``, ``neighbours``,
+``gaifman_ball``, ``induced_subdb``) touch only local parts of these arrays:
+the j-th tuple of relation R containing element i, the Gaifman neighbours of
+an element, balls of bounded radius.  Batched readers
 (``neighborhoods.extract_element_neighbourhoods``) gather the same entries
 for many elements in one pass.  The arrays never change after construction;
 the one field that does is ``probes``, a plain counter of incidence reads
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -131,14 +131,12 @@ def _normalize(rel: Relation, tup: Tuple_) -> Tuple_:
 MAX_DOMAIN = math.isqrt(2 ** 63 - 1) - 1
 
 
-def _relation_rows(rel: Relation, tups: Iterable[Tuple_],
-                   n: int) -> tuple[Optional[np.ndarray], tuple[Tuple_, ...]]:
-    """A relation's tuples, sorted and duplicate-free, as an int64 array and a tuple list.
+def _relation_rows(rel: Relation, tups: Iterable[Tuple_], n: int) -> Optional[np.ndarray]:
+    """A relation's tuples, sorted and duplicate-free, as an int64 array.
 
-    Symmetric pairs are stored in ascending order; the list reuses the given
-    tuple objects wherever that order holds.  Raises the error of the first
-    offending tuple in input order: a wrong arity, then an element outside
-    [1, n], then a symmetric self-loop.  Returns ``(None, ())`` when every
+    Symmetric pairs are stored in ascending order.  Raises the error of the
+    first offending tuple in input order: a wrong arity, then an element
+    outside [1, n], then a symmetric self-loop.  Returns None when every
     tuple is valid but some element does not fit int64, which only a domain
     too large to index admits.
     """
@@ -156,19 +154,13 @@ def _relation_rows(rel: Relation, tups: Iterable[Tuple_],
                 if not (1 <= e <= n):
                     raise ElementOutOfRange(f"relation {rel.name}: element {e} outside [1, {n}]")
             _normalize(rel, t)
-        return None, ()
+        return None
     if rel.symmetric:
-        swapped = arr[:, 0] > arr[:, 1]
         arr = np.sort(arr, axis=1)
-    order = np.lexsort(arr.T[::-1])  # stable: the first of equal tuples stays
-    arr = arr[order]
+    arr = arr[np.lexsort(arr.T[::-1])]
     if len(arr) > 1:
-        first = np.concatenate(([True], (arr[1:] != arr[:-1]).any(axis=1)))
-        arr, order = arr[first], order[first]
-    kept = map(tups.__getitem__, order.tolist())
-    if rel.symmetric:
-        kept = ((t[1], t[0]) if swap else t for t, swap in zip(kept, swapped[order].tolist()))
-    return arr, tuple(kept)
+        arr = arr[np.concatenate(([True], (arr[1:] != arr[:-1]).any(axis=1)))]
+    return arr
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -189,11 +181,13 @@ def _csr(keys: np.ndarray, n: int) -> np.ndarray:
 class Database:
     """Bounded-degree database over a fixed schema, held in read-only arrays.
 
-    ``tuples[i]`` is the sorted tuple list of relation ``i`` and ``rows[i]``
-    the same tuples as one int64 array of shape (m, arity).  Element ``a``'s
-    entries in a CSR pair ``(ptr, values)`` are ``values[ptr[a]:ptr[a + 1]]``:
+    ``rows[i]`` holds relation ``i``, the only copy of its tuples: one
+    int64 array of shape (m, arity) whose rows are sorted and distinct.
+    ``tuples`` rebuilds them as Python tuples on each read, for reference
+    code that scans whole relations.  Element ``a``'s entries in a CSR pair
+    ``(ptr, values)`` are ``values[ptr[a]:ptr[a + 1]]``:
 
-    * ``incidence[i]`` lists, ascending, the positions in ``tuples[i]`` of the
+    * ``incidence[i]`` lists, ascending, the positions in ``rows[i]`` of the
       tuples that contain ``a``;
     * ``adjacency`` lists, ascending, ``a``'s Gaifman neighbours: the other
       elements of the tuples that contain it.
@@ -203,8 +197,8 @@ class Database:
     ``__init__``; only ``probes`` changes afterwards.
     """
 
-    __slots__ = ("schema", "n", "degree_bound", "tuples", "rows", "incidence", "adjacency",
-                 "degrees", "probes", "_incidence_views", "_adjacency_views", "_degree_view")
+    __slots__ = ("schema", "n", "degree_bound", "rows", "incidence", "adjacency", "degrees",
+                 "probes", "_row_views", "_incidence_views", "_adjacency_views", "_degree_view")
 
     def __init__(self, schema: Schema, n: int, degree_bound: int,
                  tuples_by_rel: Sequence[Iterable[Tuple_]]):
@@ -217,13 +211,11 @@ class Database:
         self.degree_bound = degree_bound
         self.probes = 0  # incidence probes, for delay instrumentation only
 
-        checked = [_relation_rows(rel, tups, n)
-                   for rel, tups in zip(schema.relations, tuples_by_rel)]
+        rows = [_relation_rows(rel, tups, n) for rel, tups in zip(schema.relations, tuples_by_rel)]
         if n > MAX_DOMAIN:
             raise DomainTooLarge(f"domain {n} is too large to index (at most {MAX_DOMAIN})")
-        self.tuples: tuple[tuple[Tuple_, ...], ...] = tuple(tups for _, tups in checked)
         try:
-            self._build_index([arr for arr, _ in checked])
+            self._build_index(rows)
         except MemoryError:
             raise DomainTooLarge(f"domain {n} is too large to index in memory") from None
         over = np.flatnonzero(self.degrees > degree_bound)
@@ -263,10 +255,17 @@ class Database:
         self.degrees = degrees
         for arr in (*rows, *(a for pair in incidence for a in pair), *self.adjacency, degrees):
             arr.flags.writeable = False
-        # the scalar readers index memoryviews, which return Python ints
+        # the scalar readers index memoryviews, which return Python ints; a
+        # relation's rows are read through one flat view
+        self._row_views = tuple(memoryview(arr.reshape(-1)) for arr in rows)
         self._incidence_views = tuple((memoryview(p), memoryview(v)) for p, v in incidence)
         self._adjacency_views = tuple(memoryview(a) for a in self.adjacency)
         self._degree_view = memoryview(degrees)
+
+    @property
+    def tuples(self) -> tuple[tuple[Tuple_, ...], ...]:
+        """Per relation, its sorted tuples, built from ``rows`` on each read."""
+        return tuple(tuple(map(tuple, arr.tolist())) for arr in self.rows)
 
     # -- oracle access -----------------------------------------------------
 
@@ -287,23 +286,16 @@ class Database:
         ptr, positions = self._incidence_views[rel_idx]
         if ptr[i + 1] - ptr[i] < j:
             return None
-        return self.tuples[rel_idx][positions[ptr[i] + j - 1]]
-
-    def incident_tuples(self, a: int) -> Iterator[tuple[int, Tuple_]]:
-        """Yield (relation index, tuple) for every tuple containing ``a`` in [1, n].
-
-        Equivalent to probing the oracle with j = 1..deg for each relation;
-        the probe counter is charged accordingly.
-        """
-        for rel_idx, (ptr, positions) in enumerate(self._incidence_views):
-            lo, hi = ptr[a], ptr[a + 1]
-            self.probes += hi - lo + 1
-            tups = self.tuples[rel_idx]
-            for pos in positions[lo:hi]:
-                yield rel_idx, tups[pos]
+        arity = self.schema.relations[rel_idx].arity
+        start = positions[ptr[i] + j - 1] * arity
+        return tuple(self._row_views[rel_idx][start:start + arity])
 
     def neighbours(self, a: int) -> set[int]:
-        """Gaifman neighbours of ``a`` in [1, n], charged as ``incident_tuples``."""
+        """Gaifman neighbours of ``a`` in [1, n].
+
+        Charged as probing the oracle with j = 1..deg for each relation: the
+        tuples found plus one per relation.
+        """
         ptr, adjacent = self._adjacency_views
         self.probes += self._degree_view[a] + len(self.schema.relations)
         return set(adjacent[ptr[a]:ptr[a + 1]])
@@ -387,8 +379,9 @@ class Fragment:
                 parent[ra] = rb
         return [find(e) for e in range(1, self.size + 1)]
 
-    def as_database(self, degree_bound: int) -> Database:
-        return Database(self.schema, self.size, degree_bound, self.tuples)
+    def as_database(self) -> Database:
+        """The fragment as a database; no degree exceeds its tuple count."""
+        return Database(self.schema, self.size, max(2, sum(map(len, self.tuples))), self.tuples)
 
 
 def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence[int]] = None) -> Fragment:
@@ -408,10 +401,10 @@ def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence
         raise ElementOutOfRange(f"members outside [1, {db.n}]")
     local = {e: i + 1 for i, e in enumerate(order)}
     rel_tuples: list[tuple[Tuple_, ...]] = []
-    for rel_idx, rel in enumerate(db.schema.relations):
+    for rel, (ptr, positions), flat in zip(db.schema.relations, db._incidence_views,
+                                           db._row_views):
         # walk the incidence lists of members only; no global scan
-        ptr, positions = db._incidence_views[rel_idx]
-        tups = db.tuples[rel_idx]
+        arity = rel.arity
         seen_positions = set()
         keep = []  # distinct tuples map to distinct local tuples
         for e in order:
@@ -419,7 +412,8 @@ def induced_subdb(db: Database, members: Iterable[int], order: Optional[Sequence
                 if pos in seen_positions:
                     continue
                 seen_positions.add(pos)
-                mapped = tuple(map(local.get, tups[pos]))
+                start = pos * arity
+                mapped = tuple(map(local.get, flat[start:start + arity]))
                 if None not in mapped:
                     keep.append(mapped)
         if rel.symmetric:

@@ -372,6 +372,24 @@ def _type_table(type_ids) -> np.ndarray:
     return table
 
 
+def _elementwise_prefilter(cache: TypeCache, radius: int, tables: Sequence[np.ndarray],
+                           cols: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows whose element at each position has a type its position's table admits.
+
+    Types the columns in position order and stops once no row survives, so
+    later columns are not typed; returns the mask and the element types of
+    the columns it typed.
+    """
+    mask = np.ones(cols[0].size, dtype=bool)
+    etypes = []
+    for table, col in zip(tables, cols):
+        etypes.append(cache.element_types_many(col, radius))
+        mask &= np.take(table, etypes[-1], mode="clip")
+        if not mask.any():
+            break
+    return mask, etypes
+
+
 class TypeMembership:
     """V1 = tuples whose radius-r type belongs to a fixed set."""
 
@@ -394,18 +412,10 @@ class TypeMembership:
             in self.type_ids
 
     def check_block(self, arity: int, cols: list[np.ndarray]) -> np.ndarray:
-        size = cols[0].size
         if arity != self.k or not self.type_ids:
-            return np.zeros(size, dtype=bool)
-        mask = np.ones(size, dtype=bool)
-        etypes = []
-        for pos in range(self.k):
-            col_types = self.cache.element_types_many(cols[pos], self.radius)
-            etypes.append(col_types)
-            mask &= np.take(self._allowed[pos], col_types, mode="clip")
-            if not mask.any():
-                return mask
-        if self.k == 1:
+            return np.zeros(cols[0].size, dtype=bool)
+        mask, etypes = _elementwise_prefilter(self.cache, self.radius, self._allowed, cols)
+        if self.k == 1 or not mask.any():
             return mask  # the elementwise filter is exact for one centre
         scalar = mask.copy()
         if self.k == 2:
@@ -463,16 +473,10 @@ class SplitMembership:
         return bool(found)
 
     def check_block(self, arity: int, cols: list[np.ndarray]) -> np.ndarray:
-        size = cols[0].size
         slots = self._allowed.get(arity)
         if slots is None or not self.type_ids:
-            return np.zeros(size, dtype=bool)
-        mask = np.ones(size, dtype=bool)
-        for j in range(arity):
-            etypes = self.cache.element_types_many(cols[j], self.radius)
-            mask &= np.take(slots[j], etypes, mode="clip")
-            if not mask.any():
-                return mask
+            return np.zeros(cols[0].size, dtype=bool)
+        mask = _elementwise_prefilter(self.cache, self.radius, slots, cols)[0]
         for i in np.nonzero(mask)[0]:
             tup = tuple(int(cols[j][i]) for j in range(arity))
             if not self.check(tup):

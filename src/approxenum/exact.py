@@ -84,12 +84,13 @@ def answer_set(db: Database, q: QueryNF, registry: TypeRegistry,
 def _edit_candidates(db: Database) -> list[tuple[str, int, tuple]]:
     """All legal single edits: deletions of present tuples, insertions of absent ones."""
     edits: list[tuple[str, int, tuple]] = []
-    for rel_idx, tups in enumerate(db.tuples):
+    tuples = db.tuples
+    for rel_idx, tups in enumerate(tuples):
         for t in tups:
             edits.append(("del", rel_idx, t))
     space = 0
     for rel_idx, rel in enumerate(db.schema.relations):
-        present = set(db.tuples[rel_idx])
+        present = set(tuples[rel_idx])
         if rel.symmetric:
             universe: Iterable[tuple] = itertools.combinations(range(1, db.n + 1), 2)
         else:
@@ -116,8 +117,8 @@ def _apply_edits(db: Database, edits: Sequence[tuple[str, int, tuple]]) -> Optio
         if db.degrees[e] + delta > db.degree_bound:
             return None
     new_tuples = []
-    for rel_idx in range(len(db.schema.relations)):
-        tups = set(db.tuples[rel_idx])
+    for rel_idx, tups in enumerate(db.tuples):
+        tups = set(tups)
         for kind, ri, t in edits:
             if ri != rel_idx:
                 continue

@@ -359,6 +359,12 @@ def _rebuild_fragment(frag: Fragment, ordering: list[int]) -> Fragment:
     return Fragment(frag.schema, frag.size, tuple(rel_tuples))
 
 
+def _raw_key(radius: int, centres: tuple[int, ...], size: int, signature: tuple,
+             tuples: tuple) -> tuple:
+    """The raw-cache key of a neighbourhood: its pre-canonical encoding."""
+    return radius, centres, size, signature, tuples
+
+
 class TypeRegistry:
     """Interning table from canonical forms to process-local type ids.
 
@@ -382,15 +388,6 @@ class TypeRegistry:
 
     # -- canonicalization --------------------------------------------------
 
-    def _raw_signature(self, nb: Neighbourhood) -> tuple:
-        return (
-            nb.radius,
-            nb.centres,
-            nb.fragment.size,
-            nb.fragment.schema.signature(),
-            nb.fragment.tuples,
-        )
-
     def canonicalize(self, nb: Neighbourhood) -> CanonicalType:
         """Intern the type of a neighbourhood.
 
@@ -398,23 +395,19 @@ class TypeRegistry:
         inputs.  A cache keyed on the raw (pre-canonical) fragment encoding
         short-circuits repeated extractions of structurally identical balls.
         """
-        raw = self._raw_signature(nb)
+        frag = nb.fragment
+        signature = frag.schema.signature()
+        raw = _raw_key(nb.radius, nb.centres, frag.size, signature, frag.tuples)
         hit = self._raw_cache.get(raw)
         if hit is not None:
             return hit
-        ordering, rows = _canonical_order(nb.fragment, nb.centres)
+        ordering, rows = _canonical_order(frag, nb.centres)
         pos_of = {e: i + 1 for i, e in enumerate(ordering)}
         centre_positions = tuple(pos_of[c] for c in nb.centres)
-        key = (
-            nb.radius,
-            centre_positions,
-            nb.fragment.size,
-            nb.fragment.schema.signature(),
-            tuple(rows),
-        )
+        key = (nb.radius, centre_positions, frag.size, signature, tuple(rows))
         t = self._by_key.get(key)
         if t is None:
-            rep_frag = _rebuild_fragment(nb.fragment, ordering)
+            rep_frag = _rebuild_fragment(frag, ordering)
             rep = Neighbourhood(rep_frag, centre_positions, nb.radius)
             labels = rep_frag.component_labels()
             groups: dict[int, list[int]] = {}
@@ -445,8 +438,7 @@ class TypeRegistry:
         signature = schema.signature()
         out = []
         for size, tuples in extract_element_neighbourhoods(db, elements, radius):
-            # the key _raw_signature builds for this neighbourhood
-            t = self._raw_cache.get((radius, (1,), size, signature, tuples))
+            t = self._raw_cache.get(_raw_key(radius, (1,), size, signature, tuples))
             if t is None:
                 t = self.canonicalize(Neighbourhood(Fragment(schema, size, tuples), (1,), radius))
             out.append(t.type_id)
@@ -465,7 +457,7 @@ class TypeRegistry:
         hit = self._restriction_cache.get(cache_key)
         if hit is not None:
             return hit
-        rep_db = t.representative.fragment.as_database(degree_bound=max(2, _max_degree(t.representative.fragment)))
+        rep_db = t.representative.fragment.as_database()
         centre = t.representative.centres[position]
         sub = extract_neighbourhood(rep_db, (centre,), t.radius)
         rid = self.canonicalize(sub).type_id
@@ -508,12 +500,3 @@ class TypeRegistry:
         tid = self.canonicalize(Neighbourhood(union, tuple(centres), radius)).type_id
         self._compose_cache[key] = tid
         return tid
-
-
-def _max_degree(frag: Fragment) -> int:
-    counts: dict[int, int] = {}
-    for tups in frag.tuples:
-        for t in tups:
-            for e in set(t):
-                counts[e] = counts.get(e, 0) + 1
-    return max(counts.values(), default=0)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,12 +280,44 @@ def test_columnar_index_matches_tuples():
 
 
 def test_scalar_readers_charge_probes(pair_a_db):
-    # one probe per oracle call; incident_tuples and neighbours charge
-    # (tuples found + 1) per relation
+    # one probe per oracle call; neighbours charges (tuples found + 1) per relation
     probes = pair_a_db.probes
     pair_a_db.oracle("E", 1, 1)
     assert pair_a_db.probes == probes + 1
-    assert sorted(t for _, t in pair_a_db.incident_tuples(1)) == [(1, 2), (1, 3), (1, 4)]
-    assert pair_a_db.probes == probes + 5
     assert pair_a_db.neighbours(1) == {2, 3, 4}
-    assert pair_a_db.probes == probes + 9
+    assert pair_a_db.probes == probes + 5
+
+
+def test_oracle_reads_rows_as_plain_ints():
+    schema = Schema([Relation("U", 1), Relation("E", 2, symmetric=True), Relation("T", 3)])
+    db = Database(schema, 7, 4, [[(4,), (2,)], [(5, 3), (3, 1), (1, 2)],
+                                 [(2, 7, 2), (6, 1, 3), (1, 1, 4)]])
+    tuples = db.tuples
+    for rel_idx, rel in enumerate(schema.relations):
+        for a in range(1, db.n + 1):
+            want = [t for t in tuples[rel_idx] if a in t]
+            for j in range(1, db.degree_bound + 1):
+                got = db.oracle(rel.name, a, j)
+                if j > len(want):
+                    assert got is None
+                    continue
+                assert got == want[j - 1]
+                assert type(got) is tuple and all(type(e) is int for e in got)
+
+
+def test_relations_held_once_as_arrays():
+    # the arrays are the whole store: building retains their bytes and no tuple objects
+    m = 100_000
+    edges = [(i + 1, i) for i in range(1, m + 1)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = Database(figures.GRAPH_SCHEMA, m + 1, 2, [edges])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = (*db.rows, *(a for pair in db.incidence for a in pair), *db.adjacency, db.degrees)
+    assert retained <= sum(a.nbytes for a in arrays) + 64_000
+    assert "tuples" not in Database.__slots__

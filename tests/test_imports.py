@@ -1,8 +1,9 @@
 """Every imported name is used: a standard-library stand-in for a linter's unused-import rule.
 
 Scans the package modules (``__init__.py`` re-exports, so it is left out), the
-tests and the scripts.  A name counts as used when it appears as a name in the
-module's syntax tree; ``from __future__`` imports are directives, not names.
+tests, the scripts and the benchmark modules.  A name counts as used when it
+appears as a name in the module's syntax tree; ``from __future__`` imports are
+directives, not names.
 """
 
 import ast
@@ -15,6 +16,7 @@ FILES = sorted(
     [p for p in (ROOT / "src" / "approxenum").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "perfbench").glob("*.py"))
 )
 
 
@@ -38,6 +40,7 @@ def test_files_found():
     assert any(p.parent.name == "approxenum" for p in FILES)
     assert any(p.parent.name == "tests" for p in FILES)
     assert any(p.parent.name == "scripts" for p in FILES)
+    assert any(p.parent.name == "perfbench" for p in FILES)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
